@@ -1,20 +1,16 @@
-// GEMM shape sweep, SIMD-vs-scalar envelope, and offline tile autotuner for
-// the dispatched kernel family (tensor/gemm.h).
+// GEMM shape sweep and SIMD-vs-scalar envelope for the dispatched kernel
+// family (tensor/gemm.h).
 //
 // The shape set is the model's real GEMM work: per-sample conv im2col
 // products (forward nn, dW nt, dcol tn) at the paper model's channel widths,
 // plus the transformer block's token matmuls. Timing is best-of-reps
-// wall-clock per shape; within a variant any tile choice is bit-identical
-// (gemm_tiles.h), so the tuner is free to pick purely on speed.
+// wall-clock per shape.
 //
 // Modes (driven by scripts/bench.sh):
 //   --sweep               per-variant GFLOP/s table over the shape set
 //   --envelope            JSON line: best-SIMD vs scalar speedup on the
 //                         large shapes (bench.sh --check asserts >= 2x on
 //                         the fingerprinted host)
-//   --tune [--out PATH]   sweep tile candidates per supported variant and
-//                         write the per-host cache (default
-//                         bench/tuned/<fingerprint>.json)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -25,13 +21,11 @@
 #include <vector>
 
 #include "tensor/gemm.h"
-#include "tensor/gemm_tune.h"
 
 using namespace mfa;
 
 namespace {
 
-using kernels::GemmTiles;
 using kernels::Variant;
 
 enum class OpKind { kNN, kNT, kTN };
@@ -163,113 +157,20 @@ int mode_envelope() {
   return 0;
 }
 
-/// Total best-of time across the shape set for one tile configuration.
-double score_tiles(Variant v, const GemmTiles& t,
-                   std::vector<ShapeData>& data) {
-  kernels::set_variant_override(static_cast<int>(v));
-  kernels::set_tiles_override(v, &t);
-  double total = 0.0;
-  for (size_t i = 0; i < std::size(kShapes); ++i)
-    total += time_shape(kShapes[i], data[i], reps_for(kShapes[i]));
-  return total;
-}
-
-int mode_tune(const std::string& out_path) {
-  std::vector<ShapeData> data;
-  for (const Shape& s : kShapes) data.push_back(make_data(s, 42));
-
-  kernels::tune::TunedTable table;
-  for (Variant v : supported()) {
-    std::vector<GemmTiles> candidates;
-    if (v == Variant::kScalar) {
-      // The scalar strips read only nc (the legacy column block).
-      for (std::int64_t nc : {256, 512, 1024, 2048}) {
-        GemmTiles t;
-        t.nc = nc;
-        candidates.push_back(t);
-      }
-    } else {
-      const int pairs[][2] = {{2, 2}, {4, 1}, {4, 2}, {4, 4}, {8, 1}, {8, 2}};
-      const std::int64_t panels[][2] = {{512, 256}, {1024, 128}, {256, 512}};
-      // pack_min_a spans "pack A eagerly" (1<<14) through "never on these
-      // shapes" (1<<40); within a variant every candidate is bit-identical,
-      // so the tuner picks purely on speed.
-      for (const auto& p : pairs)
-        for (const auto& blk : panels)
-          for (std::int64_t pack_min :
-               {std::int64_t{1} << 16, std::int64_t{1} << 17,
-                std::int64_t{1} << 18})
-            for (std::int64_t pack_min_a :
-                 {std::int64_t{1} << 14, std::int64_t{1} << 16,
-                  std::int64_t{1} << 40}) {
-              GemmTiles t;
-              t.mr = p[0];
-              t.nv = p[1];
-              t.nc = blk[0];
-              t.kc = blk[1];
-              t.pack_min = pack_min;
-              t.pack_min_a = pack_min_a;
-              candidates.push_back(t);
-            }
-    }
-    double best_score = 1e30;
-    GemmTiles best_tiles;
-    for (const GemmTiles& t : candidates) {
-      const double sc = score_tiles(v, t, data);
-      if (sc < best_score) {
-        best_score = sc;
-        best_tiles = t;
-      }
-    }
-    const int idx = static_cast<int>(v);
-    table.have[idx] = true;
-    table.tiles[idx] = best_tiles;
-    std::printf(
-        "tuned %-7s mr=%d nv=%d nc=%lld kc=%lld pack_min=%lld "
-        "pack_min_a=%lld  (%.1f ms over %zu shapes, %zu candidates)\n",
-        kernels::variant_name(v), best_tiles.mr, best_tiles.nv,
-        static_cast<long long>(best_tiles.nc),
-        static_cast<long long>(best_tiles.kc),
-        static_cast<long long>(best_tiles.pack_min),
-        static_cast<long long>(best_tiles.pack_min_a), best_score * 1e3,
-        std::size(kShapes), candidates.size());
-    kernels::set_tiles_override(v, nullptr);
-  }
-  kernels::set_variant_override(-1);
-
-  const auto host = kernels::tune::host_id();
-  const std::string path =
-      out_path.empty() ? kernels::tune::default_cache_path() : out_path;
-  std::string err;
-  if (!kernels::tune::write_file(path, host, table, &err)) {
-    std::fprintf(stderr, "bench_gemm: %s\n", err.c_str());
-    return 1;
-  }
-  std::printf("wrote %s (fingerprint %s)\n", path.c_str(),
-              host.fingerprint.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string mode = "--sweep";
-  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--sweep" || arg == "--envelope" || arg == "--tune") {
+    if (arg == "--sweep" || arg == "--envelope") {
       mode = arg;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_gemm [--sweep|--envelope|--tune] "
-                   "[--out PATH]\n");
+      std::fprintf(stderr, "usage: bench_gemm [--sweep|--envelope]\n");
       return 2;
     }
   }
   if (mode == "--envelope") return mode_envelope();
-  if (mode == "--tune") return mode_tune(out_path);
   mode_sweep();
   return 0;
 }

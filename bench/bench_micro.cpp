@@ -123,11 +123,11 @@ BENCHMARK(BM_Conv2dTrainStepObsOff);
 
 /// Backward pass in isolation: the forward re-records the tape outside the
 /// timed region each iteration (backward retires the whole tape), so the
-/// measurement is the planner + executor + closure cost alone.
+/// measurement is the planner + closure cost alone.
 /// tape_plan_allocs_per_iter exports Tape::plan_grow_events() growth over the
 /// timed loop; scripts/bench.sh --check asserts it is 0 — backward()
-/// bookkeeping (visit stamps, order/level vectors) must allocate nothing in
-/// the steady state.
+/// bookkeeping (visit stamps, DFS stack, order vector) must allocate nothing
+/// in the steady state.
 void BM_BackwardOnly(benchmark::State& state) {
   Rng rng(8);
   Tensor x = Tensor::randn({4, 8, 64, 64}, rng);
@@ -158,46 +158,8 @@ void BM_BackwardOnly(benchmark::State& state) {
       1, static_cast<std::int64_t>(state.iterations())));
   state.counters["tape_plan_allocs_per_iter"] =
       static_cast<double>(tape.plan_grow_events() - grow0) / iters;
-  state.counters["backward_parallel_tasks"] =
-      static_cast<double>(tape.last_plan().parallel_tasks);
 }
 BENCHMARK(BM_BackwardOnly);
-
-/// Fusion pair: one elementwise-chain train step with backward task fusion
-/// on vs off. The chain (mul -> add -> relu -> scale) fuses into one
-/// backward task when enabled; numerics are bit-identical either way, so
-/// the pair isolates pure scheduling overhead. fused_nodes_per_bwd documents
-/// which mode the run was in.
-void RunElemwiseChainStep(benchmark::State& state, bool fusion) {
-  auto& tape = tensor::Tape::current();
-  const bool prev = tape.fusion_enabled();
-  tape.set_fusion_for_testing(fusion);
-  Rng rng(9);
-  Tensor w = Tensor::randn({1 << 18}, rng, 0.5f, /*requires_grad=*/true);
-  Tensor x = Tensor::randn({1 << 18}, rng, 0.5f);
-  const auto step = [&] {
-    w.zero_grad();
-    Tensor y = ops::mul_scalar(ops::relu(ops::add(ops::mul(w, x), w)), 0.5f);
-    ops::sum(y).backward();
-    benchmark::DoNotOptimize(w.grad().data());
-  };
-  step();  // warm-up
-  PoolCounterScope counters(state);
-  for (auto _ : state) step();
-  state.counters["fused_nodes_per_bwd"] =
-      static_cast<double>(tape.last_plan().fused_nodes);
-  tape.set_fusion_for_testing(prev);
-}
-
-void BM_ElemwiseChainStepFused(benchmark::State& state) {
-  RunElemwiseChainStep(state, true);
-}
-BENCHMARK(BM_ElemwiseChainStepFused);
-
-void BM_ElemwiseChainStepUnfused(benchmark::State& state) {
-  RunElemwiseChainStep(state, false);
-}
-BENCHMARK(BM_ElemwiseChainStepUnfused);
 
 void BM_PredictLevels(benchmark::State& state) {
   Rng rng(7);

@@ -80,25 +80,6 @@ MFA_SIMD=scalar \
 ctest --test-dir build-ci/release --output-on-failure "${JOBS}" \
   --output-junit ctest-junit-scalar.xml
 report_slowest build-ci/release/ctest-junit-scalar.xml "release, MFA_SIMD=scalar"
-# Third release pass with the tape executor pinned to sequential replay:
-# the default is the level-scheduled graph executor, so this is the pass
-# that keeps the seq fallback (MFA_EXEC=seq, also the diagnostics path)
-# green end to end, including the golden pipeline hash.
-echo "=== [release, MFA_EXEC=seq] test ==="
-MFA_EXEC=seq \
-ctest --test-dir build-ci/release --output-on-failure "${JOBS}" \
-  --output-junit ctest-junit-seq.xml
-report_slowest build-ci/release/ctest-junit-seq.xml "release, MFA_EXEC=seq"
-# Fourth release pass with the graph executor pinned explicitly, over the
-# `sparse` label: the sparse gather/scatter family, the multi-root backward
-# suite, and the LHNN golden hash re-run with MFA_EXEC=graph forced via the
-# environment (not just the testing hooks), proving the env plumbing reaches
-# the slot-partitioned scatter accumulation and the union-plan scheduler.
-echo "=== [release, MFA_EXEC=graph, sparse] test ==="
-MFA_EXEC=graph \
-ctest --test-dir build-ci/release --output-on-failure "${JOBS}" -L sparse \
-  --output-junit ctest-junit-graph-sparse.xml
-report_slowest build-ci/release/ctest-junit-graph-sparse.xml "release, MFA_EXEC=graph, sparse"
 run_config asan    Debug          address
 # Second ASan pass with the storage pool bypassed: recycling hides
 # use-after-free from the poisoning/quarantine machinery (a stale pointer
@@ -113,10 +94,9 @@ ctest --test-dir build-ci/asan --output-on-failure "${JOBS}" \
 report_slowest build-ci/asan/ctest-junit-pool-off.xml "asan, MFA_POOL=off"
 run_config tsan    Debug          thread
 # Soak slice under TSan with the storage sanitizer armed: the multi-client
-# serve tests and the tape executor suite (label `soak`) re-run with
+# serve tests and the tape suite (label `soak`) re-run with
 # redzones/generation checks live while TSan watches the queue/batch/swap
-# handoffs and the parallel backward task dispatch (MFA_EXEC defaults to
-# the graph executor, so test_tape's stress cases run it here). Thread
+# handoffs and the per-thread tape arenas of the serve workers. Thread
 # widths {1,4} are covered in-process by the ServeSoak parameterisation
 # (ThreadPool::resize_for_testing), so one ctest pass sees both.
 echo "=== [tsan, soak, MFA_SANITIZE_STORAGE=on] test ==="

@@ -41,7 +41,6 @@ struct WriteEntry {
 // checker is consulted from thread-exit paths of the worker pool).
 struct State {
   std::atomic<bool> enabled{env_enabled()};
-  std::atomic<bool> race_tracking{true};
   std::atomic<bool> throw_on_violation{true};
   std::atomic<std::int64_t> counts[kNumDefects] = {};
   std::atomic<std::int64_t> redzone_checks{0};
@@ -123,14 +122,6 @@ void set_enabled(bool on) {
   state().enabled.store(on, std::memory_order_relaxed);
 }
 
-bool race_tracking() {
-  return state().race_tracking.load(std::memory_order_relaxed);
-}
-
-void set_race_tracking(bool on) {
-  state().race_tracking.store(on, std::memory_order_relaxed);
-}
-
 bool throw_on_violation() {
   return state().throw_on_violation.load(std::memory_order_relaxed);
 }
@@ -187,14 +178,7 @@ std::string context_suffix() {
 
 std::uint64_t begin_region() {
   auto& s = state();
-  // Gate on the race sub-switch too, not just enabled: with tracking off the
-  // tape executor runs backward tasks in parallel, and a nested parallel_for
-  // that goes inline would otherwise log its full-range declarations under
-  // the OUTER region's chunk id — two worker tasks then look like one
-  // region's overlapping chunks and report a false race.
-  if (!s.enabled.load(std::memory_order_relaxed) ||
-      !s.race_tracking.load(std::memory_order_relaxed))
-    return 0;
+  if (!s.enabled.load(std::memory_order_relaxed)) return 0;
   // 0 is reserved for "inactive", so the first region gets token 1.
   return s.region_seq.fetch_add(1, std::memory_order_relaxed) + 1;
 }

@@ -153,20 +153,9 @@ std::string context_suffix();
 
 // ---- deterministic write-race detection --------------------------------
 
-/// Sub-switch for the race class only (default on). Turning it off keeps
-/// redzone/lifetime/refcount checks armed while dropping declared-write
-/// tracking — used by tests that want the sanitizer live under a genuinely
-/// parallel backward schedule (race tracking forces the tape executor
-/// sequential so overlap reports stay schedule-independent; see
-/// tensor/tape.h).
-bool race_tracking();
-void set_race_tracking(bool on);
-
-/// True when declared-write tracking should run: compiled in, enabled, and
-/// the race sub-switch on. parallel_for consults this to virtualise its
-/// chunk partition; the tape executor consults it to pin the sequential
-/// backward walk.
-inline bool race_check_active() { return enabled() && race_tracking(); }
+/// True when declared-write tracking should run: compiled in and enabled.
+/// parallel_for consults this to virtualise its chunk partition.
+inline bool race_check_active() { return enabled(); }
 
 /// Opens a tracked region; returns its non-zero token, or 0 when the checker
 /// is off (every later call with token 0 is a no-op). Called by
@@ -228,8 +217,6 @@ inline const char* current_op() { return nullptr; }
 inline std::int64_t current_tape_node() { return -1; }
 inline std::string context_suffix() { return {}; }
 
-inline bool race_tracking() { return true; }
-inline void set_race_tracking(bool) {}
 inline bool race_check_active() { return false; }
 inline std::uint64_t begin_region() { return 0; }
 inline void end_region(std::uint64_t) {}

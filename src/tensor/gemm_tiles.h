@@ -21,7 +21,7 @@ enum class Variant : int {
 };
 inline constexpr int kNumVariants = 3;
 
-/// Tunable tile parameters for one variant. The register tile is mr rows by
+/// Tile parameters for one variant. The register tile is mr rows by
 /// nv SIMD vectors of C; nc/kc are the cache-blocking panel dimensions used
 /// by the packed-B path; pack_min is the minimum B volume (k * n floats)
 /// before packing pays for itself — below it the kernels stream B in place,
@@ -32,10 +32,10 @@ inline constexpr int kNumVariants = 3;
 /// scalar, single-rounded FMA for the SIMD variants; gemm_nt accumulates in
 /// lane-split doubles with a fixed lane count per variant). The tile
 /// parameters only regroup independent accumulator streams, so any value of
-/// (mr, nv, nc, kc, pack_min) yields bit-identical results — the autotuner
-/// may pick freely. Across variants results differ (FMA contracts the
-/// product rounding), which is why the golden gate pins one hash per
-/// variant.
+/// (mr, nv, nc, kc, pack_min) yields bit-identical results — the tile
+/// choice is a pure speed knob. Across variants results differ (FMA
+/// contracts the product rounding), which is why the golden gate pins one
+/// hash per variant.
 struct GemmTiles {
   int mr = 4;                     // register-tile rows (1, 2, 4, or 8)
   int nv = 2;                     // register-tile width in SIMD vectors

@@ -71,7 +71,7 @@ std::vector<std::int64_t> argmax_dim(const Tensor& a, std::int64_t dim);
 // scatter_add_rows / segment_sum / segment_mean forward) accumulate through
 // a fixed number of contiguous index slots with a sequential slot-order
 // reduce after the join — like conv2d's dW reduction — so results are
-// bit-identical across MFA_THREADS x MFA_POOL x MFA_EXEC. Index values are
+// bit-identical across MFA_THREADS x MFA_POOL. Index values are
 // validated once per op call with always-on MFA_CHECKs during the
 // float->int decode pass; the inner kernels then run unchecked (the Release
 // fast path — see DESIGN.md, "Sparse ops and hypergraph models").

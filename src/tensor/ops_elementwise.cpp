@@ -126,8 +126,7 @@ Tensor binary_op(const char* name, const Tensor& a, const Tensor& b, FwdFn fwd,
             if (need_b) gb[bo] += go[i] * dfb(av[ao], bv[bo]);
           });
         }
-      },
-      Tensor::kOpFlagElementwise);
+      });
   const float* av = a.data();
   const float* bv = b.data();
   float* ov = out.data();
@@ -169,8 +168,7 @@ Tensor unary_op(const char* name, const Tensor& a, FwdFn fwd, DFn dfn) {
                 ga[i] += go[i] * dfn(av[i], ov[i]);
             },
             kElemwiseGrain);
-      },
-      Tensor::kOpFlagElementwise);
+      });
   const float* av = a.data();
   float* ov = out.data();
   parallel_for(

@@ -9,12 +9,11 @@
 //  * Autograd is a dynamic tape: each op that produces a grad-requiring
 //    output records a node (backward closure + parent references) on the
 //    calling thread's mfa::tensor::Tape (see tensor/tape.h).
-//    Tensor::backward() hands execution to the tape: a reverse-topological
-//    schedule runs the closures — sequentially or level-parallel across the
-//    ThreadPool depending on MFA_EXEC — then retires the whole tape in one
-//    bulk step. As each non-leaf node retires, its gradient buffer is
-//    released back to the storage pool (leaves keep theirs for the
-//    optimizer).
+//    Tensor::backward() hands execution to the tape: it runs the closures
+//    in reverse-topological order on the calling thread, then retires the
+//    whole tape in one bulk step. As each non-leaf node retires, its
+//    gradient buffer is released back to the storage pool (leaves keep
+//    theirs for the optimizer).
 //  * All buffers are tensor::Storage handles drawn from the recycling
 //    StoragePool (see tensor/storage.h); op intermediates additionally
 //    recycle through the tape's arena. Steady-state training and inference
@@ -55,11 +54,11 @@ struct TensorImpl {
   // survivors of an already-retired graph.
   std::int32_t tape_id = -1;
   std::uint64_t tape_epoch = 0;
-  // Scratch owned by the tape planner/executor (see tensor/tape.h); stamped
-  // fields so backward() bookkeeping allocates nothing per call.
+  // Finite-grad scan scratch owned by the tape (see tensor/tape.h): a stamp
+  // that deduplicates leaves without a per-call set, and the tape node that
+  // last scattered into this gradient.
   std::uint64_t plan_stamp = 0;
-  std::int32_t plan_last = -1;
-  std::int32_t last_grad_writer = -1;  // finite-grad scan attribution
+  std::int32_t last_grad_writer = -1;
   void ensure_grad() {
     if (grad.size() != data.size())
       grad.assign(static_cast<std::int64_t>(data.size()), 0.0f);
@@ -153,16 +152,10 @@ class Tensor {
   // ---- internals shared by the op kernels ----
   std::shared_ptr<detail::TensorImpl> impl() const { return impl_; }
   static Tensor wrap(std::shared_ptr<detail::TensorImpl> impl);
-  /// make_result flags: the op's backward closure is a trivial elementwise
-  /// scatter (output grad read once per element, parents written once per
-  /// element, no reduction) — the tape's graph executor may fuse a chain of
-  /// such nodes into one task. Scheduling hint only; never changes numerics.
-  static constexpr unsigned kOpFlagElementwise = 1u << 0;
   /// Creates the result tensor of an op, recording a tape node when autograd
   /// is active. `backward` may be null for non-differentiable ops.
   static Tensor make_result(Shape shape, std::vector<Tensor> inputs,
-                            std::function<void(detail::TensorImpl&)> backward,
-                            unsigned flags = 0);
+                            std::function<void(detail::TensorImpl&)> backward);
 
  private:
   explicit Tensor(std::shared_ptr<detail::TensorImpl> impl)

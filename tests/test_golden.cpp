@@ -4,10 +4,9 @@
 // congestion prediction -> inflation -> further placement -> legalisation ->
 // routing -> congestion analysis — at a fixed seed, and hashes the final
 // placement coordinates plus the congestion-level map with FNV-1a. The hash
-// must be bit-identical across MFA_EXEC in {seq, graph} x MFA_THREADS in
-// {1, 4} x MFA_POOL in {on, off}: this turns the PR 3 (thread-count
-// invariance), PR 4 (pool bitwise-transparency), and PR 9 (parallel graph
-// executor determinism) claims into one durable regression gate, with the
+// must be bit-identical across MFA_THREADS in {1, 4} x MFA_POOL in
+// {on, off}: this turns the thread-count invariance and pool
+// bitwise-transparency claims into one durable regression gate, with the
 // observability layer live while it runs (spans and counters must never
 // perturb numerics).
 //
@@ -36,7 +35,6 @@
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/storage.h"
-#include "tensor/tape.h"
 #include "train/dataset.h"
 #include "train/trainer.h"
 
@@ -161,56 +159,46 @@ constexpr std::uint64_t kGoldenHashPerVariant[kernels::kNumVariants] = {
 struct GoldenConfig {
   int threads;
   bool pool;
-  tensor::Executor exec;
 };
 
-TEST(Golden, EndToEndHashIsBitIdenticalAcrossThreadPoolAndExecConfigs) {
+// Full cross of MFA_THREADS x MFA_POOL: kernel parallelism and the storage
+// pool (with the tape arena riding on it) must be bitwise invisible in the
+// end-to-end result.
+constexpr GoldenConfig kConfigs[] = {
+    {1, true},
+    {4, true},
+    {1, false},
+    {4, false},
+};
+
+TEST(Golden, EndToEndHashIsBitIdenticalAcrossThreadAndPoolConfigs) {
   auto& thread_pool = common::ThreadPool::instance();
   auto& storage_pool = tensor::StoragePool::instance();
-  auto& tape = tensor::Tape::current();
   const bool pool_was_enabled = storage_pool.enabled();
-  const tensor::Executor exec_prev = tape.executor();
 
-  // Full cross of MFA_EXEC x MFA_THREADS x MFA_POOL: the graph executor's
-  // level-parallel backward (and the tape arena riding under both modes)
-  // must be bitwise invisible in the end-to-end result.
-  const GoldenConfig configs[] = {
-      {1, true, tensor::Executor::kSeq},
-      {4, true, tensor::Executor::kSeq},
-      {1, false, tensor::Executor::kSeq},
-      {4, false, tensor::Executor::kSeq},
-      {1, true, tensor::Executor::kGraph},
-      {4, true, tensor::Executor::kGraph},
-      {1, false, tensor::Executor::kGraph},
-      {4, false, tensor::Executor::kGraph},
-  };
   for (int v = 0; v < kernels::kNumVariants; ++v) {
     if (!kernels::variant_supported(static_cast<kernels::Variant>(v))) {
       continue;
     }
     ASSERT_TRUE(kernels::set_variant_override(v));
     std::vector<std::uint64_t> hashes;
-    for (const auto& cfg : configs) {
+    for (const auto& cfg : kConfigs) {
       thread_pool.resize_for_testing(cfg.threads);
       storage_pool.set_enabled(cfg.pool);
-      tape.set_executor_for_testing(cfg.exec);
       hashes.push_back(run_pipeline_hash());
     }
     // Restore the ambient configuration before asserting.
     thread_pool.resize_for_testing(1);
     storage_pool.set_enabled(pool_was_enabled);
-    tape.set_executor_for_testing(exec_prev);
 
     const char* vname =
         kernels::variant_name(static_cast<kernels::Variant>(v));
     for (size_t i = 1; i < hashes.size(); ++i) {
       EXPECT_EQ(hashes[0], hashes[i])
           << "[" << vname << "] pipeline hash diverged between config 0 "
-          << "(threads=1, pool=on, exec=seq) and config " << i
-          << " (threads=" << configs[i].threads
-          << ", pool=" << (configs[i].pool ? "on" : "off") << ", exec="
-          << (configs[i].exec == tensor::Executor::kSeq ? "seq" : "graph")
-          << ")";
+          << "(threads=1, pool=on) and config " << i
+          << " (threads=" << kConfigs[i].threads
+          << ", pool=" << (kConfigs[i].pool ? "on" : "off") << ")";
     }
     EXPECT_EQ(hashes[0], kGoldenHashPerVariant[v])
         << "[" << vname << "] golden pipeline hash changed. If this is an "
@@ -286,9 +274,7 @@ constexpr std::uint64_t kLhnnHashPerVariant[kernels::kNumVariants] = {
 TEST(Golden, LhnnTrainPredictHashIsBitIdenticalAcrossConfigs) {
   auto& thread_pool = common::ThreadPool::instance();
   auto& storage_pool = tensor::StoragePool::instance();
-  auto& tape = tensor::Tape::current();
   const bool pool_was_enabled = storage_pool.enabled();
-  const tensor::Executor exec_prev = tape.executor();
 
   // Dataset built once outside the matrix: its placer/feature path is
   // covered by the main gate; this test isolates the model stack.
@@ -307,41 +293,27 @@ TEST(Golden, LhnnTrainPredictHashIsBitIdenticalAcrossConfigs) {
   const auto samples =
       train::DatasetBuilder::build_for_design(spec, device, dopt);
 
-  const GoldenConfig configs[] = {
-      {1, true, tensor::Executor::kSeq},
-      {4, true, tensor::Executor::kSeq},
-      {1, false, tensor::Executor::kSeq},
-      {4, false, tensor::Executor::kSeq},
-      {1, true, tensor::Executor::kGraph},
-      {4, true, tensor::Executor::kGraph},
-      {1, false, tensor::Executor::kGraph},
-      {4, false, tensor::Executor::kGraph},
-  };
   for (int v = 0; v < kernels::kNumVariants; ++v) {
     if (!kernels::variant_supported(static_cast<kernels::Variant>(v))) {
       continue;
     }
     ASSERT_TRUE(kernels::set_variant_override(v));
     std::vector<std::uint64_t> hashes;
-    for (const auto& cfg : configs) {
+    for (const auto& cfg : kConfigs) {
       thread_pool.resize_for_testing(cfg.threads);
       storage_pool.set_enabled(cfg.pool);
-      tape.set_executor_for_testing(cfg.exec);
       hashes.push_back(run_lhnn_hash(samples));
     }
     thread_pool.resize_for_testing(1);
     storage_pool.set_enabled(pool_was_enabled);
-    tape.set_executor_for_testing(exec_prev);
 
     const char* vname =
         kernels::variant_name(static_cast<kernels::Variant>(v));
     for (size_t i = 1; i < hashes.size(); ++i) {
       EXPECT_EQ(hashes[0], hashes[i])
           << "[" << vname << "] LHNN hash diverged between config 0 and "
-          << "config " << i << " (threads=" << configs[i].threads
-          << ", pool=" << (configs[i].pool ? "on" : "off") << ", exec="
-          << (configs[i].exec == tensor::Executor::kSeq ? "seq" : "graph")
-          << ")";
+          << "config " << i << " (threads=" << kConfigs[i].threads
+          << ", pool=" << (kConfigs[i].pool ? "on" : "off") << ")";
     }
     EXPECT_EQ(hashes[0], kLhnnHashPerVariant[v])
         << "[" << vname << "] LHNN golden hash changed. If intentional, "

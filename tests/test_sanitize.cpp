@@ -28,6 +28,7 @@
 #include "models/congestion_model.h"
 #include "tensor/ops.h"
 #include "tensor/storage.h"
+#include "tensor/tape.h"
 #include "tensor/tensor.h"
 #include "train/dataset.h"
 #include "train/trainer.h"
@@ -348,6 +349,9 @@ TEST_P(SanitizeDetect, CleanTwoEpochTrainReportsZeroViolations) {
   sanitize::reset_counts();
   train::Trainer::fit(*model, samples, topt);
   StoragePool::instance().verify_cached_guards();
+  // Arena blocks stay referenced by the arena, so the pool sweep above never
+  // sees them; sweep the training thread's tape arena explicitly.
+  tensor::Tape::current().arena().verify_guards();
   const auto c = sanitize::counts();
   EXPECT_EQ(c.total(), 0)
       << "redzone=" << c.redzone << " lifetime=" << c.lifetime

@@ -2,12 +2,12 @@
 // LHNN lattice-hypergraph predictor built on it.
 //
 // The contract under test mirrors the dense kernels': every op gradchecks,
-// and every scatter-style reduction is BIT-identical across MFA_EXEC in
-// {seq, graph} x MFA_THREADS in {1, 4} x MFA_POOL in {on, off}, because the
-// accumulation runs through a fixed slot partition of the index dimension
-// (never a thread-count-dependent one). Index hardening: out-of-range ids
-// throw check::CheckError in every build type (validated during the decode
-// pass); non-integral ids are a Debug-only MFA_DCHECK.
+// and every scatter-style reduction is BIT-identical across MFA_THREADS in
+// {1, 4} x MFA_POOL in {on, off}, because the accumulation runs through a
+// fixed slot partition of the index dimension (never a thread-count-dependent
+// one). Index hardening: out-of-range ids throw check::CheckError in every
+// build type (validated during the decode pass); non-integral ids are a
+// Debug-only MFA_DCHECK.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,46 +23,32 @@
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
 #include "tensor/storage.h"
-#include "tensor/tape.h"
 #include "tensor/tensor.h"
 
 namespace mfa {
 namespace {
 
-using ops::add_scalar;
 using ops::gather_rows;
 using ops::index_select;
 using ops::mul;
-using ops::relu;
 using ops::scatter_add_rows;
 using ops::segment_mean;
 using ops::segment_sum;
 using ops::sum;
-using tensor::Executor;
 using tensor::StoragePool;
-using tensor::Tape;
 
-/// Pins executor mode and pool-thread count; restores on exit (same idiom as
-/// test_tape's TapeEnv — the tape knobs are thread-local).
-class SparseEnv {
+/// Pins the pool-thread count; restores it on exit.
+class ThreadsEnv {
  public:
-  SparseEnv(Executor exec, int threads, bool fusion = true)
-      : exec_prev_(Tape::current().executor()),
-        fusion_prev_(Tape::current().fusion_enabled()),
-        threads_prev_(common::ThreadPool::instance().size()) {
-    Tape::current().set_executor_for_testing(exec);
-    Tape::current().set_fusion_for_testing(fusion);
+  explicit ThreadsEnv(int threads)
+      : threads_prev_(common::ThreadPool::instance().size()) {
     common::ThreadPool::instance().resize_for_testing(threads);
   }
-  ~SparseEnv() {
+  ~ThreadsEnv() {
     common::ThreadPool::instance().resize_for_testing(threads_prev_);
-    Tape::current().set_fusion_for_testing(fusion_prev_);
-    Tape::current().set_executor_for_testing(exec_prev_);
   }
 
  private:
-  Executor exec_prev_;
-  bool fusion_prev_;
   int threads_prev_;
 };
 
@@ -144,17 +130,13 @@ const std::vector<std::vector<float>> kPatterns = {
     {0, 2, 0, 2, 0, 2},  // rows 1, 3, 4 never referenced
 };
 
-class SparseGradcheck
-    : public ::testing::TestWithParam<std::tuple<int, int>> {
+class SparseGradcheck : public ::testing::TestWithParam<int> {
  protected:
-  Executor exec() const {
-    return std::get<0>(GetParam()) == 0 ? Executor::kSeq : Executor::kGraph;
-  }
-  int threads() const { return std::get<1>(GetParam()); }
+  int threads() const { return GetParam(); }
 };
 
 TEST_P(SparseGradcheck, GatherRows) {
-  const SparseEnv env(exec(), threads());
+  const ThreadsEnv env(threads());
   for (const auto& pattern : kPatterns) {
     Tensor x = make_input({5, 3}, 11, 0.5f);
     const auto result = gradcheck(
@@ -168,7 +150,7 @@ TEST_P(SparseGradcheck, GatherRows) {
 }
 
 TEST_P(SparseGradcheck, ScatterAddRows) {
-  const SparseEnv env(exec(), threads());
+  const ThreadsEnv env(threads());
   for (const auto& pattern : kPatterns) {
     Tensor src = make_input({6, 2}, 13, 0.5f);
     const auto result = gradcheck(
@@ -182,7 +164,7 @@ TEST_P(SparseGradcheck, ScatterAddRows) {
 }
 
 TEST_P(SparseGradcheck, SegmentSumAndMean) {
-  const SparseEnv env(exec(), threads());
+  const ThreadsEnv env(threads());
   for (const auto& pattern : kPatterns) {
     Tensor src = make_input({6, 2}, 17, 0.5f);
     const auto sum_result = gradcheck(
@@ -203,7 +185,7 @@ TEST_P(SparseGradcheck, SegmentSumAndMean) {
 }
 
 TEST_P(SparseGradcheck, IndexSelectInnerDim) {
-  const SparseEnv env(exec(), threads());
+  const ThreadsEnv env(threads());
   for (const auto& pattern : kPatterns) {
     Tensor x = make_input({2, 5, 3}, 19, 0.5f);
     const auto result = gradcheck(
@@ -217,48 +199,14 @@ TEST_P(SparseGradcheck, IndexSelectInnerDim) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ExecThreads, SparseGradcheck,
-    ::testing::Combine(::testing::Values(0, 1), ::testing::Values(1, 4)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) == 0 ? "seq" : "graph") +
-             "_t" + std::to_string(std::get<1>(info.param));
-    });
-
-// ---- tape-fusion interaction ---------------------------------------------
-
-TEST(SparseFusion, ElementwiseChainDoesNotFuseAcrossScatter) {
-  // add_scalar -> relu (both elementwise) feed a scatter_add_rows, whose
-  // backward is a reduction: the planner may fuse the chain internally but
-  // must stop at the scatter node (it is not flagged elementwise).
-  const SparseEnv env(Executor::kGraph, 4, /*fusion=*/true);
-  const Tensor idx = index_of({1, 1, 0, 3, 1, 2});
-  auto run = [&](Executor exec) {
-    const SparseEnv inner(exec, 4);
-    Tensor src = make_input({6, 2}, 23, 0.5f);
-    src.zero_grad();
-    Tensor y = relu(add_scalar(src, 0.3f));
-    Tensor s = scatter_add_rows(y, idx, 4);
-    sum(mul(s, s)).backward();
-    return src.grad().to_vector();
-  };
-  const auto graph_grads = run(Executor::kGraph);
-  // Exactly the relu<-add_scalar link fused; four tasks remain (sum-of-
-  // squares root, mul, scatter, fused chain), proving the chain did not
-  // merge into (or across) the reduction node.
-  EXPECT_EQ(Tape::current().last_plan().fused_nodes, 1);
-  EXPECT_EQ(Tape::current().last_plan().tasks, 4);
-  const auto seq_grads = run(Executor::kSeq);
-  ASSERT_EQ(graph_grads.size(), seq_grads.size());
-  EXPECT_EQ(0, std::memcmp(graph_grads.data(), seq_grads.data(),
-                           graph_grads.size() * sizeof(float)));
-}
+    Threads, SparseGradcheck, ::testing::Values(1, 4),
+    [](const auto& info) { return "t" + std::to_string(info.param); });
 
 // ---- bitwise determinism across the config matrix ------------------------
 
 struct SparseConfig {
   int threads;
   bool pool;
-  Executor exec;
 };
 
 /// Forward + backward of a composite graph using all four reduction-bearing
@@ -281,38 +229,30 @@ std::vector<float> sparse_pipeline_bits(int seed) {
   return bits;
 }
 
-TEST(SparseDeterminism, BitwiseIdenticalAcrossThreadsPoolAndExec) {
+TEST(SparseDeterminism, BitwiseIdenticalAcrossThreadsAndPool) {
   auto& thread_pool = common::ThreadPool::instance();
   auto& storage_pool = StoragePool::instance();
-  auto& tape = Tape::current();
   const bool pool_prev = storage_pool.enabled();
-  const Executor exec_prev = tape.executor();
   const int threads_prev = thread_pool.size();
 
   const SparseConfig configs[] = {
-      {1, true, Executor::kSeq},   {4, true, Executor::kSeq},
-      {1, false, Executor::kSeq},  {4, false, Executor::kSeq},
-      {1, true, Executor::kGraph}, {4, true, Executor::kGraph},
-      {1, false, Executor::kGraph}, {4, false, Executor::kGraph},
+      {1, true}, {4, true}, {1, false}, {4, false},
   };
   for (const int seed : {3, 29, 71}) {
     std::vector<std::vector<float>> runs;
     for (const auto& cfg : configs) {
       thread_pool.resize_for_testing(cfg.threads);
       storage_pool.set_enabled(cfg.pool);
-      tape.set_executor_for_testing(cfg.exec);
       runs.push_back(sparse_pipeline_bits(seed));
     }
     thread_pool.resize_for_testing(threads_prev);
     storage_pool.set_enabled(pool_prev);
-    tape.set_executor_for_testing(exec_prev);
     for (size_t i = 1; i < runs.size(); ++i) {
       ASSERT_EQ(runs[0].size(), runs[i].size());
       EXPECT_EQ(0, std::memcmp(runs[0].data(), runs[i].data(),
                                runs[0].size() * sizeof(float)))
           << "seed " << seed << ": config " << i << " (threads="
           << configs[i].threads << ", pool=" << (configs[i].pool ? "on" : "off")
-          << ", exec=" << (configs[i].exec == Executor::kSeq ? "seq" : "graph")
           << ") diverged from config 0";
     }
   }
@@ -426,23 +366,20 @@ std::vector<float> lhnn_step_grads() {
   return flat;
 }
 
-TEST(Lhnn, TrainStepBitwiseAcrossExecAndThreads) {
-  const SparseEnv base(Executor::kSeq, 1);
+TEST(Lhnn, TrainStepBitwiseAcrossThreads) {
+  const ThreadsEnv base(1);
   const auto reference = lhnn_step_grads();
   ASSERT_FALSE(reference.empty());
   bool any_nonzero = false;
   for (float g : reference) any_nonzero = any_nonzero || g != 0.0f;
   EXPECT_TRUE(any_nonzero);
-  for (const Executor exec : {Executor::kSeq, Executor::kGraph}) {
-    for (const int threads : {1, 4}) {
-      const SparseEnv env(exec, threads);
-      const auto grads = lhnn_step_grads();
-      ASSERT_EQ(reference.size(), grads.size());
-      EXPECT_EQ(0, std::memcmp(reference.data(), grads.data(),
-                               reference.size() * sizeof(float)))
-          << "exec=" << (exec == Executor::kSeq ? "seq" : "graph")
-          << " threads=" << threads;
-    }
+  for (const int threads : {1, 4}) {
+    const ThreadsEnv env(threads);
+    const auto grads = lhnn_step_grads();
+    ASSERT_EQ(reference.size(), grads.size());
+    EXPECT_EQ(0, std::memcmp(reference.data(), grads.data(),
+                             reference.size() * sizeof(float)))
+        << "threads=" << threads;
   }
 }
 

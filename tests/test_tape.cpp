@@ -1,20 +1,20 @@
-// Tests for the autograd tape + graph executor (tensor/tape.h).
+// Tests for the autograd tape (tensor/tape.h).
 //
-// The contract under test: MFA_EXEC=graph schedules independent backward
-// branches across the ThreadPool yet stays BIT-identical to the sequential
-// walk — for any thread count, pool mode, fusion on/off — because the
-// planner serialises the consumers of every shared grad-requiring tensor in
-// sequential execution order (chain edges) and only fuses execution-adjacent
-// sole-consumer elementwise pairs. The tape arena must recycle intermediate
-// buffers across steps without perturbing numerics, keep escaped tensors
-// alive, and give memory back when the workload shrinks. Diagnostics (race
-// tracking, finite-grad scans) pin the sequential walk so their reports are
-// schedule-independent across MFA_EXEC modes.
+// The contract under test: backward() runs every closure on the calling
+// thread in one reverse-topological order, so gradient accumulation into a
+// shared tensor keeps one consumer order and results are BIT-identical for
+// any pool thread count (the closures' own kernels parallelise internally).
+// Steady-state planning allocates nothing. The tape arena must recycle
+// intermediate buffers across steps without perturbing numerics, keep
+// escaped tensors alive, and give memory back when the workload shrinks.
+// Retire and multi-root semantics are pinned at the end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -32,39 +32,30 @@ namespace mfa {
 namespace {
 
 using ops::add;
-using ops::conv2d;
 using ops::mul;
 using ops::relu;
 using ops::sum;
-using tensor::Executor;
 using tensor::StoragePool;
 using tensor::Tape;
+using tensor::TapeArena;
 
-/// Pins the executor mode, fusion, arena, and pool-thread count for a test
-/// body; restores everything on exit. The tape knobs are thread-local, so
-/// this configures exactly the thread the graphs are built and run on.
+/// Pins the arena switch and the pool-thread count for a test body; restores
+/// both on exit. The arena switch is thread-local, so this configures
+/// exactly the thread the graphs are built and run on.
 class TapeEnv {
  public:
-  TapeEnv(Executor exec, int threads, bool fusion = true, bool arena = true)
-      : exec_prev_(Tape::current().executor()),
-        fusion_prev_(Tape::current().fusion_enabled()),
-        arena_prev_(Tape::current().arena_enabled()),
+  explicit TapeEnv(int threads, bool arena = true)
+      : arena_prev_(Tape::current().arena_enabled()),
         threads_prev_(common::ThreadPool::instance().size()) {
-    Tape::current().set_executor_for_testing(exec);
-    Tape::current().set_fusion_for_testing(fusion);
     Tape::current().set_arena_for_testing(arena);
     common::ThreadPool::instance().resize_for_testing(threads);
   }
   ~TapeEnv() {
     common::ThreadPool::instance().resize_for_testing(threads_prev_);
     Tape::current().set_arena_for_testing(arena_prev_);
-    Tape::current().set_fusion_for_testing(fusion_prev_);
-    Tape::current().set_executor_for_testing(exec_prev_);
   }
 
  private:
-  Executor exec_prev_;
-  bool fusion_prev_;
   bool arena_prev_;
   int threads_prev_;
 };
@@ -74,16 +65,35 @@ Tensor make_input(Shape shape, int seed, float scale = 1.0f) {
   return Tensor::randn(std::move(shape), rng, scale, /*requires_grad=*/true);
 }
 
-/// A wide graph: `branches` independent relu(w_i * x_i) arms joined by a
-/// balanced add tree. Each arm's backward tasks are heavy enough for the
-/// level dispatcher to fan out, and the arms share no grad-requiring tensor,
-/// so they land in one level.
+/// Identity op whose backward closure stores the id of the thread it ran on
+/// in `*ran_on`, then passes the gradient through unchanged.
+Tensor record_backward_thread(const Tensor& x, std::thread::id* ran_on) {
+  Tensor out = Tensor::make_result(
+      x.shape(), {x}, [x, ran_on](detail::TensorImpl& o) {
+        *ran_on = std::this_thread::get_id();
+        auto xi = x.impl();
+        xi->ensure_grad();
+        for (size_t i = 0; i < o.grad.size(); ++i)
+          xi->grad.data()[i] += o.grad.data()[i];
+      });
+  std::copy(x.data(), x.data() + x.numel(), out.data());
+  return out;
+}
+
+/// A wide graph: independent relu(w_i * x_i) arms joined by a balanced add
+/// tree. The arms share no grad-requiring tensor, so nothing orders their
+/// backward closures but the walk itself. With `ran_on` (one slot per arm),
+/// each arm's backward records the thread it ran on.
 Tensor wide_branch_loss(const std::vector<Tensor>& ws,
-                        const std::vector<Tensor>& xs) {
+                        const std::vector<Tensor>& xs,
+                        std::vector<std::thread::id>* ran_on = nullptr) {
   std::vector<Tensor> arms;
   arms.reserve(ws.size());
-  for (size_t i = 0; i < ws.size(); ++i)
-    arms.push_back(sum(relu(mul(ws[i], xs[i]))));
+  for (size_t i = 0; i < ws.size(); ++i) {
+    Tensor arm = relu(mul(ws[i], xs[i]));
+    if (ran_on) arm = record_backward_thread(arm, &(*ran_on)[i]);
+    arms.push_back(sum(arm));
+  }
   while (arms.size() > 1) {
     std::vector<Tensor> next;
     for (size_t i = 0; i + 1 < arms.size(); i += 2)
@@ -108,15 +118,15 @@ std::vector<float> grads_after_backward(const std::function<Tensor()>& fn,
   return flat;
 }
 
-// ---- correctness: gradcheck under the graph executor --------------------
+// ---- correctness: gradcheck of a re-joined graph ------------------------
 
-TEST(TapeGraph, DiamondGraphGradchecksUnderGraphExecutor) {
-  const TapeEnv env(Executor::kGraph, 4);
+TEST(TapeGraph, DiamondGraphGradchecksAtFourPoolThreads) {
+  const TapeEnv env(4);
   Tensor a = make_input({64}, 11, 0.5f);
   const auto result = gradcheck(
       [&] {
-        // Two distinct paths from one tensor, re-joined: the planner must
-        // chain both consumers of `a` and both writers into its grad.
+        // Two distinct paths from one tensor, re-joined: the walk must run
+        // both consumers of `a` and accumulate both writers into its grad.
         // Smooth ops only — a relu kink near zero would dominate the
         // finite-difference error.
         Tensor left = mul(a, a);
@@ -127,9 +137,31 @@ TEST(TapeGraph, DiamondGraphGradchecksUnderGraphExecutor) {
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
-TEST(TapeGraph, SharedSubexpressionAccumulatesIdenticallyToSeq) {
+// ---- execution: one sequential walk on the calling thread ---------------
+
+TEST(TapeGraph, BackwardRunsEveryClosureOnTheCallingThread) {
+  // Independent heavy arms at 4 pool threads: the walk must still run every
+  // backward closure on the thread that called backward(), dispatching no
+  // closure to a pool worker (kernels inside a closure may still fan out).
+  const TapeEnv env(4);
+  std::vector<Tensor> ws, xs;
+  for (int i = 0; i < 4; ++i) {
+    ws.push_back(make_input({4096}, 20 + i, 0.5f));
+    Rng rng(static_cast<std::uint64_t>(40 + i));
+    xs.push_back(Tensor::randn({4096}, rng, 0.5f));
+  }
+  std::vector<std::thread::id> ran_on(ws.size());
+  wide_branch_loss(ws, xs, &ran_on).backward();
+  for (size_t i = 0; i < ran_on.size(); ++i)
+    EXPECT_EQ(ran_on[i], std::this_thread::get_id())
+        << "arm " << i << "'s backward closure ran off the calling thread";
+  EXPECT_EQ(Tape::current().last_plan().parallel_tasks, 0);
+}
+
+TEST(TapeGraph, SharedSubexpressionAccumulatesIdenticallyAcrossThreadCounts) {
   // s = a*a feeds three consumers; every scatter into s.grad (and then into
-  // a.grad) must accumulate in the sequential walk's order, bit for bit.
+  // a.grad) must accumulate in one fixed order, bit for bit, whatever the
+  // pool width.
   Tensor a = make_input({4096}, 12, 0.5f);
   Tensor b = make_input({4096}, 13, 0.5f);
   std::vector<Tensor> params = {a, b};
@@ -137,86 +169,24 @@ TEST(TapeGraph, SharedSubexpressionAccumulatesIdenticallyToSeq) {
     Tensor s = mul(a, a);
     return sum(add(add(mul(s, b), relu(s)), mul(s, s)));
   };
-  std::vector<float> seq_grads, graph_grads;
+  std::vector<float> grads_t1, grads_t4;
   {
-    const TapeEnv env(Executor::kSeq, 1);
-    seq_grads = grads_after_backward(build, params);
+    const TapeEnv env(1);
+    grads_t1 = grads_after_backward(build, params);
   }
   {
-    const TapeEnv env(Executor::kGraph, 4);
-    graph_grads = grads_after_backward(build, params);
+    const TapeEnv env(4);
+    grads_t4 = grads_after_backward(build, params);
   }
-  ASSERT_EQ(seq_grads.size(), graph_grads.size());
-  for (size_t i = 0; i < seq_grads.size(); ++i)
-    ASSERT_EQ(seq_grads[i], graph_grads[i]) << "grad diverged at " << i;
-}
-
-TEST(TapeGraph, ConvTrainStepBitIdenticalSeqVsGraphAndFusionOnOff) {
-  // A conv+elementwise composite trained for a few steps: parameters must
-  // stay bitwise equal between MFA_EXEC modes and with fusion on/off.
-  const auto run = [](Executor exec, int threads,
-                      bool fusion) -> std::vector<float> {
-    const TapeEnv env(exec, threads, fusion);
-    Rng rng(99);
-    Tensor x = Tensor::randn({2, 3, 8, 8}, rng, 1.0f);
-    Tensor w = Tensor::randn({4, 3, 3, 3}, rng, 0.3f, true);
-    Tensor bias = Tensor::zeros({4}, true);
-    std::vector<Tensor> params = {w, bias};
-    nn::Sgd opt(params, 0.05f);
-    for (int step = 0; step < 3; ++step) {
-      opt.zero_grad();
-      Tensor y = relu(conv2d(x, w, bias, 1, 1));
-      sum(mul(y, y)).backward();
-      opt.step();
-    }
-    std::vector<float> flat;
-    for (const auto& p : params) {
-      const auto v = p.to_vector();
-      flat.insert(flat.end(), v.begin(), v.end());
-    }
-    return flat;
-  };
-  const auto baseline = run(Executor::kSeq, 1, true);
-  EXPECT_EQ(baseline, run(Executor::kGraph, 1, true));
-  EXPECT_EQ(baseline, run(Executor::kGraph, 4, true));
-  EXPECT_EQ(baseline, run(Executor::kGraph, 4, false));
-  EXPECT_EQ(baseline, run(Executor::kSeq, 4, false));
-}
-
-// ---- scheduling: the plan actually fuses and parallelises ---------------
-
-TEST(TapeGraph, ElementwiseChainFusesIntoOneTask) {
-  const TapeEnv env(Executor::kGraph, 1);
-  Tensor a = make_input({256}, 14);
-  // add -> relu -> mul(scalar): a pure elementwise chain with sole
-  // consumers; the planner must merge it rather than schedule 1-node tasks.
-  sum(ops::mul_scalar(relu(add(a, a)), 0.5f)).backward();
-  const auto& plan = Tape::current().last_plan();
-  EXPECT_GT(plan.fused_nodes, 0) << "no elementwise pair was fused";
-  EXPECT_LT(plan.tasks, plan.nodes);
-}
-
-TEST(TapeGraph, IndependentBranchesShareALevel) {
-  const TapeEnv env(Executor::kGraph, 4);
-  std::vector<Tensor> ws, xs;
-  for (int i = 0; i < 4; ++i) {
-    ws.push_back(make_input({4096}, 20 + i, 0.5f));
-    // Non-grad inputs: shared by nothing, written by nothing.
-    Rng rng(static_cast<std::uint64_t>(40 + i));
-    xs.push_back(Tensor::randn({4096}, rng, 0.5f));
-  }
-  wide_branch_loss(ws, xs).backward();
-  const auto& plan = Tape::current().last_plan();
-  EXPECT_GT(plan.parallel_levels, 0)
-      << "no level fanned out across the pool (tasks=" << plan.tasks
-      << ", levels=" << plan.levels << ")";
-  EXPECT_GE(plan.parallel_tasks, 4);
+  ASSERT_EQ(grads_t1.size(), grads_t4.size());
+  for (size_t i = 0; i < grads_t1.size(); ++i)
+    ASSERT_EQ(grads_t1[i], grads_t4[i]) << "grad diverged at " << i;
 }
 
 // ---- bookkeeping: zero-alloc steady state -------------------------------
 
 TEST(TapeGraph, PlanBookkeepingStopsAllocatingAfterWarmup) {
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   std::vector<Tensor> ws, xs;
   for (int i = 0; i < 4; ++i) {
     ws.push_back(make_input({1024}, 60 + i, 0.5f));
@@ -235,10 +205,23 @@ TEST(TapeGraph, PlanBookkeepingStopsAllocatingAfterWarmup) {
 
 // ---- arena: recycling, pinning, trimming --------------------------------
 
+TEST(TapeArenaTest, BucketIndexCoversExactlyTheRingRange) {
+  // Every request up to the smallest bucket shares ring 0; each power of two
+  // up to the largest bucket maps to its own ring; anything larger belongs
+  // to the pool. The rings array is sized from the same constants.
+  const std::int64_t smallest = std::int64_t{1} << TapeArena::kMinBucket;
+  const std::int64_t largest = std::int64_t{1} << TapeArena::kMaxBucket;
+  EXPECT_EQ(TapeArena::bucket_index_for(1), 0);
+  EXPECT_EQ(TapeArena::bucket_index_for(smallest), 0);
+  EXPECT_EQ(TapeArena::bucket_index_for(smallest + 1), 1);
+  EXPECT_EQ(TapeArena::bucket_index_for(largest), TapeArena::kNumBuckets - 1);
+  EXPECT_EQ(TapeArena::bucket_index_for(largest + 1), -1);
+}
+
 TEST(TapeArenaTest, SteadyStateReusesEntriesAndTrimsAfterShrink) {
   if (!StoragePool::instance().enabled())
     GTEST_SKIP() << "pool disabled (MFA_POOL=off): arena is bypassed";
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   auto& arena = Tape::current().arena();
   arena.clear();
   std::vector<Tensor> ws, xs;
@@ -274,7 +257,7 @@ TEST(TapeArenaTest, SteadyStateReusesEntriesAndTrimsAfterShrink) {
 TEST(TapeArenaTest, EscapedIntermediatePinsItsBufferAcrossRetire) {
   if (!StoragePool::instance().enabled())
     GTEST_SKIP() << "pool disabled (MFA_POOL=off): arena is bypassed";
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   Tensor a = make_input({512}, 30, 0.5f);
   Tensor y = mul(a, a);  // intermediate drawn from the arena
   sum(y).backward();     // retires the tape; y's handle must pin its entry
@@ -296,7 +279,7 @@ TEST(TapeArenaTest, EscapedIntermediatePinsItsBufferAcrossRetire) {
 
 TEST(TapeArenaTest, TrainStepBitIdenticalArenaOnVsOff) {
   const auto run = [](bool arena) -> std::vector<float> {
-    const TapeEnv env(Executor::kGraph, 4, /*fusion=*/true, arena);
+    const TapeEnv env(4, arena);
     Rng rng(77);
     Tensor w = Tensor::randn({2048}, rng, 0.5f, true);
     Tensor x = Tensor::randn({2048}, rng, 0.5f);
@@ -312,15 +295,16 @@ TEST(TapeArenaTest, TrainStepBitIdenticalArenaOnVsOff) {
   EXPECT_EQ(run(true), run(false));
 }
 
-// ---- diagnostics force the sequential walk ------------------------------
+// ---- diagnostics -----------------------------------------------------------
 
-TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossExecModes) {
+TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossThreadCounts) {
   if (!sanitize::compiled_in())
     GTEST_SKIP() << "storage sanitizer compiled out (NDEBUG build)";
   // A backward closure with the classic forgotten-offset bug: every chunk
-  // declares [0, end). With race tracking armed, the executor must pin the
-  // sequential walk in BOTH exec modes, so the report (op name, tape node,
-  // chunk ids) is byte-identical — never a worker-task schedule accident.
+  // declares [0, end). With race tracking armed, parallel_for partitions
+  // into a fixed chunk count and the walk runs one canonical order, so the
+  // report (op name, tape node, chunk ids) is byte-identical for any pool
+  // width — never a worker schedule accident.
   const bool pool_prev = StoragePool::instance().enabled();
   const bool san_prev = sanitize::enabled();
   StoragePool::instance().set_enabled(true);
@@ -329,7 +313,7 @@ TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossExecModes) {
   sanitize::reset_counts();
   // One tensor shared by both runs: the report names the faulting buffer by
   // address, and `a`'s grad storage persists across backward calls, so the
-  // two reports can only match if the executor pins one canonical schedule.
+  // two reports can only match if the schedule is canonical.
   Tensor a = make_input({1 << 20}, 55);
   const auto buggy_loss = [](const Tensor& in) {
     Tensor y = Tensor::make_result(
@@ -345,9 +329,9 @@ TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossExecModes) {
     return sum(y);
   };
   std::string reports[2];
-  const Executor modes[2] = {Executor::kSeq, Executor::kGraph};
+  const int widths[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
-    const TapeEnv env(modes[i], 4);
+    const TapeEnv env(widths[i]);
     a.zero_grad();
     try {
       buggy_loss(a).backward();
@@ -365,51 +349,10 @@ TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossExecModes) {
   StoragePool::instance().set_enabled(pool_prev);
 }
 
-TEST(TapeSanitize, ParallelBackwardRunsCleanWithSanitizerArmed) {
-  if (!sanitize::compiled_in())
-    GTEST_SKIP() << "storage sanitizer compiled out (NDEBUG build)";
-  // TSan-facing stress: redzone/lifetime/refcount checks stay armed while
-  // race tracking is OFF, so the graph executor genuinely fans backward
-  // tasks across 4 workers with the checker watching the pooled buffers.
-  const bool pool_prev = StoragePool::instance().enabled();
-  const bool san_prev = sanitize::enabled();
-  StoragePool::instance().set_enabled(true);
-  sanitize::set_enabled(true);
-  sanitize::set_race_tracking(false);
-  sanitize::set_throw_on_violation(true);
-  sanitize::reset_counts();
-  {
-    const TapeEnv env(Executor::kGraph, 4);
-    std::vector<Tensor> ws, xs;
-    for (int i = 0; i < 4; ++i) {
-      ws.push_back(make_input({8192}, 70 + i, 0.5f));
-      Rng rng(static_cast<std::uint64_t>(75 + i));
-      xs.push_back(Tensor::randn({8192}, rng, 0.5f));
-    }
-    std::int64_t parallel_tasks = 0;
-    for (int step = 0; step < 8; ++step) {
-      for (auto& w : ws) w.zero_grad();
-      wide_branch_loss(ws, xs).backward();
-      parallel_tasks += Tape::current().last_plan().parallel_tasks;
-    }
-    EXPECT_GT(parallel_tasks, 0)
-        << "stress never exercised a parallel level";
-    Tape::current().arena().verify_guards();
-  }
-  const auto counts = sanitize::counts();
-  EXPECT_EQ(counts.total(), 0)
-      << "sanitizer violations during parallel backward";
-  EXPECT_GT(counts.redzone_checks, 0)
-      << "checker never actually verified a redzone";
-  sanitize::set_race_tracking(true);
-  sanitize::set_enabled(san_prev);
-  StoragePool::instance().set_enabled(pool_prev);
-}
-
 // ---- retire semantics ---------------------------------------------------
 
 TEST(TapeRetire, RetiredGraphSurvivorActsAsLeaf) {
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   Tensor a = make_input({8}, 88);
   Tensor y = mul(a, a);
   sum(y).backward();
@@ -426,7 +369,7 @@ TEST(TapeRetire, RetiredGraphSurvivorActsAsLeaf) {
 }
 
 TEST(TapeRetire, BackwardFromLeafLeavesRecordedGraphLive) {
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   Tensor a = make_input({16}, 89);
   Tensor loss = sum(mul(a, a));
   // A detached scalar backward must not retire the recorded graph.
@@ -445,42 +388,38 @@ TEST(TapeRetire, BackwardFromLeafLeavesRecordedGraphLive) {
 
 /// Two scalar heads over a shared trunk: head1 = sum(relu(w*x)),
 /// head2 = sum((w*x)^2) — both consume the same intermediate, so the union
-/// graph exercises shared-parent chain edges between the heads' closures.
+/// graph scatters into one shared parent from both heads' closures.
 void two_head_graph(Tensor& w, Tensor& x, Tensor& head1, Tensor& head2) {
   Tensor trunk = mul(w, x);
   head1 = sum(relu(trunk));
   head2 = sum(mul(trunk, trunk));
 }
 
-TEST(TapeMultiRoot, TwoHeadGradsBitwiseIdenticalSeqVsGraph) {
+TEST(TapeMultiRoot, TwoHeadGradsBitwiseIdenticalAcrossThreadCounts) {
   std::vector<std::vector<float>> runs;
-  for (const Executor exec : {Executor::kSeq, Executor::kGraph}) {
-    for (const int threads : {1, 4}) {
-      const TapeEnv env(exec, threads);
-      Tensor w = make_input({256}, 101, 0.5f);
-      Tensor x = make_input({256}, 102, 0.5f);
-      Tensor head1, head2;
-      two_head_graph(w, x, head1, head2);
-      Tensor::backward_multi({head1, head2});
-      std::vector<float> flat = w.grad().to_vector();
-      const auto gx = x.grad().to_vector();
-      flat.insert(flat.end(), gx.begin(), gx.end());
-      runs.push_back(std::move(flat));
-    }
+  for (const int threads : {1, 4}) {
+    const TapeEnv env(threads);
+    Tensor w = make_input({256}, 101, 0.5f);
+    Tensor x = make_input({256}, 102, 0.5f);
+    Tensor head1, head2;
+    two_head_graph(w, x, head1, head2);
+    Tensor::backward_multi({head1, head2});
+    std::vector<float> flat = w.grad().to_vector();
+    const auto gx = x.grad().to_vector();
+    flat.insert(flat.end(), gx.begin(), gx.end());
+    runs.push_back(std::move(flat));
   }
-  for (size_t i = 1; i < runs.size(); ++i) {
-    ASSERT_EQ(runs[0].size(), runs[i].size());
-    EXPECT_EQ(0, std::memcmp(runs[0].data(), runs[i].data(),
-                             runs[0].size() * sizeof(float)))
-        << "config " << i << " diverged from seq/t1";
-  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  EXPECT_EQ(0, std::memcmp(runs[0].data(), runs[1].data(),
+                           runs[0].size() * sizeof(float)))
+      << "4 pool threads diverged from 1";
 }
 
 TEST(TapeMultiRoot, MatchesBackwardOfExplicitSum) {
   // d(h1 + h2)/dθ computed by one multi-root pass must equal the gradient
   // of the literal sum node: the add's backward scatters the same seed the
   // multi-root path plants directly.
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   Tensor w1 = make_input({64}, 103, 0.5f);
   Tensor x1 = make_input({64}, 104, 0.5f);
   Tensor h1a, h2a;
@@ -500,7 +439,7 @@ TEST(TapeMultiRoot, MatchesBackwardOfExplicitSum) {
 }
 
 TEST(TapeMultiRoot, DuplicateRootAccumulatesItsSeed) {
-  const TapeEnv env(Executor::kSeq, 1);
+  const TapeEnv env(1);
   Tensor a = make_input({32}, 105, 0.5f);
   Tensor loss = sum(mul(a, a));
   Tensor::backward_multi({loss, loss});
@@ -512,7 +451,7 @@ TEST(TapeMultiRoot, DuplicateRootAccumulatesItsSeed) {
 }
 
 TEST(TapeMultiRoot, LeafRootIsSeededWhileTapedRootPropagates) {
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   Tensor a = make_input({16}, 107, 0.5f);
   Tensor leaf = Tensor::scalar(2.0f, /*requires_grad=*/true);
   Tensor loss = sum(mul(a, a));
@@ -527,7 +466,7 @@ TEST(TapeMultiRoot, InteriorRootReceivesSeedOnTopOfScatteredGradient) {
   // head2 depends on head1's subgraph THROUGH trunk, and head1 itself is a
   // root: an interior-ish mix. Use y = sum(x^2), roots {y, z} with
   // z = sum(relu(x)): gradient = 2x + relu'(x).
-  const TapeEnv env(Executor::kSeq, 1);
+  const TapeEnv env(1);
   Tensor x = make_input({64}, 109, 0.5f);
   Tensor y = sum(mul(x, x));
   Tensor z = sum(relu(x));
@@ -539,7 +478,7 @@ TEST(TapeMultiRoot, InteriorRootReceivesSeedOnTopOfScatteredGradient) {
 }
 
 TEST(TapeMultiRoot, UnionPlanCountsSharedSubgraphOnce) {
-  const TapeEnv env(Executor::kGraph, 1);
+  const TapeEnv env(1);
   Tensor w = make_input({64}, 111, 0.5f);
   Tensor x = make_input({64}, 112, 0.5f);
   Tensor head1, head2;
@@ -551,7 +490,7 @@ TEST(TapeMultiRoot, UnionPlanCountsSharedSubgraphOnce) {
 }
 
 TEST(TapeMultiRoot, PlanBookkeepingStaysZeroAllocAfterWarmup) {
-  const TapeEnv env(Executor::kGraph, 4);
+  const TapeEnv env(4);
   auto run = [&] {
     Tensor w = make_input({128}, 113, 0.5f);
     Tensor x = make_input({128}, 114, 0.5f);

@@ -3,6 +3,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 
 #include "common/metrics.h"
 #include "common/sanitize.h"
@@ -23,29 +25,47 @@ using namespace mfa;
 
 namespace {
 
-/// Attaches per-iteration StoragePool counters to a benchmark: pool hits and
-/// heap allocations (misses) per iteration, measured over the timed loop
-/// only. scripts/bench.sh compares heap_allocs_per_iter against an
-/// MFA_POOL=off run to assert the steady-state allocation reduction.
+/// Reads one scalar of the obs snapshot (e.g. "tape.arena_hits"); 0 when
+/// the snapshot lacks it.
+double obs_scalar(const char* name) {
+  const std::string json = obs::Registry::instance().metrics_json();
+  const std::string key = std::string("\"") + name + "\":";
+  const auto pos = json.find(key);
+  return pos == std::string::npos
+             ? 0.0
+             : std::strtod(json.c_str() + pos + key.size(), nullptr);
+}
+
+/// Attaches per-iteration allocation counters to a benchmark, measured over
+/// the timed loop only: pool hits, heap allocations (pool misses), and
+/// buffer acquisitions (pool hits + misses + tape-arena handouts, i.e. the
+/// heap allocations the same loop would make with no pool and no arena).
+/// scripts/bench.sh --check asserts heap_allocs_per_iter is at most 10% of
+/// buffer_acquisitions_per_iter.
 struct PoolCounterScope {
-  explicit PoolCounterScope(benchmark::State& state) : state_(state) {
+  explicit PoolCounterScope(benchmark::State& state)
+      : state_(state), arena_hits0_(obs_scalar("tape.arena_hits")) {
     tensor::StoragePool::instance().reset_stats();
   }
   ~PoolCounterScope() {
     const auto st = tensor::StoragePool::instance().stats();
     const auto iters = static_cast<double>(std::max<std::int64_t>(
         1, static_cast<std::int64_t>(state_.iterations())));
+    const double arena_hits = obs_scalar("tape.arena_hits") - arena_hits0_;
     state_.counters["pool_hits_per_iter"] =
         static_cast<double>(st.hits) / iters;
     state_.counters["heap_allocs_per_iter"] =
         static_cast<double>(st.misses) / iters;
-    // scripts/bench.sh --check asserts this is 0: the mfa::sanitize storage
-    // checker (redzones, generation stamps, write-set logging) must be fully
+    state_.counters["buffer_acquisitions_per_iter"] =
+        (static_cast<double>(st.hits + st.misses) + arena_hits) / iters;
+    // scripts/bench.sh --check asserts this is 0: the mfa::sanitize race
+    // checker (chunk virtualisation, write-set logging) must be fully
     // compiled out of optimized builds, not merely disabled at runtime.
     state_.counters["sanitize_compiled_in"] =
         sanitize::compiled_in() ? 1.0 : 0.0;
   }
   benchmark::State& state_;
+  double arena_hits0_;
 };
 
 void BM_Conv2dForward(benchmark::State& state) {

@@ -2,20 +2,22 @@
 # CI matrix: builds and tests the four supported configurations.
 #
 #   1. RelWithDebInfo          — the default developer build (DCHECKs off)
-#   2. Debug + ASan/UBSan      — memory and UB errors, DCHECKs on; tested
-#                                twice: pool on, then MFA_POOL=off so ASan
-#                                sees raw (unrecycled) tensor allocations
+#   2. Debug + ASan/UBSan      — memory and UB errors, DCHECKs on; the
+#                                storage pool poisons parked blocks and
+#                                bucket slack, so ASan sees stale-pointer
+#                                and overrun accesses to pooled tensor
+#                                buffers in this one pass
 #   3. Debug + TSan            — data races in parallel_for call sites
 #   4. Debug fault injection   — MFA_FAULT_POINTs live + finite-grad guard
 #                                on, so the crash/rollback recovery paths and
 #                                every fault-gated test actually run
 #
-# The faults tree (Debug) is tested a second time with the storage
-# sanitizer switched on (MFA_SANITIZE_STORAGE=on), which covers the
-# golden-hash-with-sanitizer guarantee without adding a fifth build. The
+# The faults tree (Debug) is tested a second time with the declared-write
+# race checker switched on (MFA_SANITIZE_STORAGE=on), which covers the
+# golden-hash-with-checker guarantee without adding a fifth build. The
 # TSan tree similarly gets a second pass over the `soak` label with the
-# storage sanitizer armed — the serving concurrency suite under both
-# checkers at once.
+# race checker armed — the serving concurrency suite under both checkers
+# at once.
 #
 # Each configuration gets its own build tree under build-ci/ so the matrix
 # never contaminates the developer's ./build. Also runs scripts/lint.sh
@@ -81,22 +83,11 @@ ctest --test-dir build-ci/release --output-on-failure "${JOBS}" \
   --output-junit ctest-junit-scalar.xml
 report_slowest build-ci/release/ctest-junit-scalar.xml "release, MFA_SIMD=scalar"
 run_config asan    Debug          address
-# Second ASan pass with the storage pool bypassed: recycling hides
-# use-after-free from the poisoning/quarantine machinery (a stale pointer
-# into a recycled block reads valid memory), so at least one sanitized
-# config must see every tensor buffer as a raw heap allocation.
-echo "=== [asan, MFA_POOL=off] test ==="
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-MFA_POOL=off \
-ctest --test-dir build-ci/asan --output-on-failure "${JOBS}" \
-  --output-junit ctest-junit-pool-off.xml
-report_slowest build-ci/asan/ctest-junit-pool-off.xml "asan, MFA_POOL=off"
 run_config tsan    Debug          thread
-# Soak slice under TSan with the storage sanitizer armed: the multi-client
-# serve tests and the tape suite (label `soak`) re-run with
-# redzones/generation checks live while TSan watches the queue/batch/swap
-# handoffs and the per-thread tape arenas of the serve workers. Thread
+# Soak slice under TSan with the race checker armed: the multi-client
+# serve tests and the tape suite (label `soak`) re-run with declared-write
+# race detection live while TSan watches the queue/batch/swap handoffs and
+# the per-thread tape arenas of the serve workers. Thread
 # widths {1,4} are covered in-process by the ServeSoak parameterisation
 # (ThreadPool::resize_for_testing), so one ctest pass sees both.
 echo "=== [tsan, soak, MFA_SANITIZE_STORAGE=on] test ==="
@@ -108,10 +99,10 @@ report_slowest build-ci/tsan/ctest-junit-soak.xml "tsan, soak, sanitize=on"
 # Fault-injection job: plain Debug compiles MFA_FAULT_POINT live, and the
 # finite-grad guard env default exercises the dirty-set NaN scan everywhere.
 MFA_CI_FINITE_GRADS=1 run_config faults Debug ""
-# Second pass on the faults tree with the storage sanitizer armed: every
-# test (including the golden end-to-end hash) must pass with redzones,
-# generation checks, and deterministic race detection live. This is the
-# "clean pipeline reports zero violations" gate.
+# Second pass on the faults tree with the race checker armed: every test
+# (including the golden end-to-end hash) must pass with deterministic
+# declared-write race detection live. This is the "clean pipeline reports
+# zero violations" gate.
 echo "=== [faults, MFA_SANITIZE_STORAGE=on] test ==="
 MFA_SANITIZE_STORAGE=on \
 ctest --test-dir build-ci/faults --output-on-failure "${JOBS}" \

@@ -19,7 +19,7 @@
 //  * Near-zero when off. MFA_OBS=off (or 0/false) short-circuits every
 //    record call to one relaxed load + branch; compiling with
 //    -DMFA_OBS_ENABLED=0 stubs the whole subsystem out (mirroring
-//    MFA_POOL / MFA_CHECK). Registration still works when disabled — only
+//    MFA_CHECK). Registration still works when disabled — only
 //    recording is suppressed — so cached cell references stay valid across
 //    enable/disable toggles.
 //

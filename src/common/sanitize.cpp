@@ -42,8 +42,8 @@ struct WriteEntry {
 struct State {
   std::atomic<bool> enabled{env_enabled()};
   std::atomic<bool> throw_on_violation{true};
-  std::atomic<std::int64_t> counts[kNumDefects] = {};
-  std::atomic<std::int64_t> redzone_checks{0};
+  std::atomic<std::int64_t> races{0};
+  std::atomic<std::int64_t> regions_checked{0};
   std::atomic<std::uint64_t> region_seq{0};
 
   // Declared-write log. A mutex-protected vector is fine here: entries are
@@ -54,12 +54,7 @@ struct State {
   State() {
     obs::Registry::instance().register_source("sanitize", [this] {
       return std::vector<std::pair<std::string, double>>{
-          {"violations_redzone", static_cast<double>(counts[0].load())},
-          {"violations_lifetime", static_cast<double>(counts[1].load())},
-          {"violations_race", static_cast<double>(counts[2].load())},
-          {"violations_refcount", static_cast<double>(counts[3].load())},
-          {"violations_leak", static_cast<double>(counts[4].load())},
-          {"redzone_checks", static_cast<double>(redzone_checks.load())},
+          {"violations_race", static_cast<double>(races.load())},
       };
     });
   }
@@ -87,32 +82,7 @@ void note_write_slow(const void* base, std::int64_t begin, std::int64_t end) {
   s.race_log.push_back({base, begin, end, t_chunk, t_region});
 }
 
-void report(Defect d, const std::string& message, bool allow_throw) {
-  auto& s = state();
-  s.counts[static_cast<int>(d)].fetch_add(1, std::memory_order_relaxed);
-  const std::string full = message + context_suffix();
-  if (allow_throw && s.throw_on_violation.load(std::memory_order_relaxed))
-    throw check::CheckError(full);
-  log::error("%s", full.c_str());
-}
-
 }  // namespace detail
-
-const char* defect_name(Defect d) {
-  switch (d) {
-    case Defect::kRedzone:
-      return "redzone";
-    case Defect::kLifetime:
-      return "lifetime";
-    case Defect::kRace:
-      return "race";
-    case Defect::kRefcount:
-      return "refcount";
-    case Defect::kLeak:
-      return "leak";
-  }
-  return "unknown";
-}
 
 bool enabled() {
   return state().enabled.load(std::memory_order_relaxed);
@@ -133,26 +103,16 @@ void set_throw_on_violation(bool on) {
 Counts counts() {
   auto& s = state();
   Counts c;
-  c.redzone = s.counts[0].load(std::memory_order_relaxed);
-  c.lifetime = s.counts[1].load(std::memory_order_relaxed);
-  c.race = s.counts[2].load(std::memory_order_relaxed);
-  c.refcount = s.counts[3].load(std::memory_order_relaxed);
-  c.leak = s.counts[4].load(std::memory_order_relaxed);
-  c.redzone_checks = s.redzone_checks.load(std::memory_order_relaxed);
+  c.race = s.races.load(std::memory_order_relaxed);
+  c.regions_checked = s.regions_checked.load(std::memory_order_relaxed);
   return c;
 }
 
 void reset_counts() {
   auto& s = state();
-  for (auto& c : s.counts) c.store(0, std::memory_order_relaxed);
-  s.redzone_checks.store(0, std::memory_order_relaxed);
+  s.races.store(0, std::memory_order_relaxed);
+  s.regions_checked.store(0, std::memory_order_relaxed);
 }
-
-namespace detail {
-void add_redzone_checks(std::int64_t n) {
-  state().redzone_checks.fetch_add(n, std::memory_order_relaxed);
-}
-}  // namespace detail
 
 OpScope::OpScope(const char* op, std::int64_t tape_node)
     : prev_op_(t_op), prev_node_(t_tape_node) {
@@ -206,7 +166,9 @@ std::vector<WriteEntry> take_region_entries(std::uint64_t token) {
 void end_region(std::uint64_t token) {
   if (token == 0) return;
   std::vector<WriteEntry> entries = take_region_entries(token);
-  if (entries.size() < 2) return;
+  if (entries.empty()) return;
+  auto& s = state();
+  s.regions_checked.fetch_add(1, std::memory_order_relaxed);
   // Sweep per buffer: sort by (base, begin) and compare neighbours. Two
   // ranges from different chunks that overlap are a deterministic write
   // race — the claim is about the declared partition, not about whether
@@ -230,7 +192,11 @@ void end_region(std::uint64_t token) {
           << ": chunk " << a.chunk << " declared floats [" << a.begin << ", "
           << a.end << ") and chunk " << b.chunk << " declared [" << b.begin
           << ", " << b.end << ")";
-      detail::report(Defect::kRace, oss.str(), /*allow_throw=*/true);
+      s.races.fetch_add(1, std::memory_order_relaxed);
+      oss << context_suffix();
+      if (s.throw_on_violation.load(std::memory_order_relaxed))
+        throw check::CheckError(oss.str());
+      log::error("%s", oss.str().c_str());
       return;  // count-only mode: one report per region is enough signal
     }
   }

@@ -17,7 +17,7 @@
 // slot into a private dense buffer under a declared-write range, and reduces
 // the slots sequentially in slot order after the join. The floating-point
 // grouping therefore depends only on the problem size, making results
-// bit-identical across MFA_THREADS x MFA_POOL (pinned by the
+// bit-identical across MFA_THREADS x MFA_ARENA (pinned by the
 // property suite and the LHNN golden hash). Gathers parallelise over the
 // output rows, which are disjoint by construction.
 

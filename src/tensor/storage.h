@@ -23,17 +23,17 @@
 //  * Observable. hits/misses/releases plus live and cached high-water marks
 //    let tests pin the no-leak bound and let scripts/bench.sh assert the
 //    steady-state allocation count (see "heap_allocs_per_iter").
-//  * Escape hatch. MFA_POOL=off (or 0/false) bypasses the free lists: every
-//    acquisition is an exact heap allocation and every release frees it, so
-//    ASan sees raw allocations with full poisoning/quarantine. Numerics are
-//    bit-identical pool on or off: every acquisition is filled before use.
+//  * Visible to ASan. Under -fsanitize=address the pool poisons what no
+//    handle may touch: a parked block's whole payload, the bucket slack past
+//    the requested size, and the unused tail of the block header. A write
+//    through a stale float* into a recycled block, an overrun into the
+//    slack, or a small underrun faults as use-after-poison at the faulting
+//    instruction. Without ASan the poisoning compiles to nothing.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "common/sanitize.h"
 
 namespace mfa::tensor {
 
@@ -47,7 +47,7 @@ struct PoolStats {
   std::uint64_t hits = 0;      // acquisitions served from a free list
   std::uint64_t misses = 0;    // acquisitions that went to the heap
   std::uint64_t releases = 0;  // blocks parked on a free list for reuse
-  std::uint64_t heap_frees = 0;  // blocks returned to the heap (bypass/trim)
+  std::uint64_t heap_frees = 0;  // blocks returned to the heap (oversize/trim)
   std::int64_t live_floats = 0;  // floats in blocks currently referenced
   std::int64_t live_floats_high_water = 0;
   std::int64_t cached_floats = 0;  // floats parked on free lists
@@ -81,29 +81,15 @@ class Storage {
   /// last handle lets go. Afterwards empty().
   void reset();
 
-  float* data() {
-    check_alive();
-    return data_;
-  }
-  const float* data() const {
-    check_alive();
-    return data_;
-  }
+  float* data() { return data_; }
+  const float* data() const { return data_; }
   std::size_t size() const { return static_cast<std::size_t>(size_); }
   bool empty() const { return size_ == 0; }
-  // operator[] stays uninstrumented: per-element granularity is too hot even
-  // for a Debug diagnostic; begin()/end()/data() cover every loop entry.
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }
-  float* begin() {
-    check_alive();
-    return data_;
-  }
+  float* begin() { return data_; }
   float* end() { return data_ + size_; }
-  const float* begin() const {
-    check_alive();
-    return data_;
-  }
+  const float* begin() const { return data_; }
   const float* end() const { return data_ + size_; }
 
   /// True when other handles reference the same block.
@@ -115,46 +101,13 @@ class Storage {
   /// any op whose output fits the bucket.
   Storage share_prefix(std::int64_t n) const;
 
-  /// On-demand sanitizer check (no-op when mfa::sanitize is off): verifies
-  /// this handle is still backed by the block generation it acquired, and
-  /// that the block's guard zones are intact. Throws check::CheckError on a
-  /// violation.
-  void verify_guards() const;
-
-  // ---- mfa::sanitize self-test hooks (Debug builds only) ----------------
-  // Manufacture the lifetime / double-release defect classes without UB:
-  // sanitize_corrupt_release() drops the block's refcount as if this handle
-  // had been destroyed while leaving the handle's pointers in place (the
-  // block recycles into the pool's free lists, so the memory itself stays
-  // valid — exactly the hazard ASan cannot see). sanitize_abandon() then
-  // clears the handle WITHOUT releasing, so scope exit stays balanced.
-  void sanitize_corrupt_release();
-  void sanitize_abandon();
-
  private:
   /// Replaces the current block with a fresh (uninitialised) one of n floats.
   void acquire_new(std::int64_t n);
 
-  /// Lifetime check: the handle's stamped generation must match the block's
-  /// current one (it diverges when the block is released/recycled under a
-  /// live handle). One relaxed load + branch when the checker is off.
-  void check_alive() const {
-#if MFA_SANITIZE_STORAGE_ON
-    if (block_ && ::mfa::sanitize::enabled()) check_alive_slow();
-#endif
-  }
-#if MFA_SANITIZE_STORAGE_ON
-  void check_alive_slow() const;  // needs detail::Block (storage.cpp)
-#endif
-
   detail::Block* block_ = nullptr;
   float* data_ = nullptr;
   std::int64_t size_ = 0;
-#if MFA_SANITIZE_STORAGE_ON
-  // Block generation stamped at acquire; maintained even while the runtime
-  // switch is off so enabling mid-process never yields false positives.
-  std::uint64_t gen_ = 0;
-#endif
 };
 
 /// Process-wide caching allocator behind Storage (leaky singleton: safe to
@@ -163,13 +116,6 @@ class StoragePool {
  public:
   static StoragePool& instance();
 
-  /// False when MFA_POOL=off (or set_enabled(false)): acquisitions bypass
-  /// the free lists and releases free immediately.
-  bool enabled() const;
-  /// Test hook; the initial value comes from MFA_POOL. Blocks carry their
-  /// origin, so toggling with buffers outstanding is safe.
-  void set_enabled(bool on);
-
   PoolStats stats() const;
   /// Zeroes the cumulative counters and re-bases the high-water marks on the
   /// current gauges.
@@ -177,18 +123,6 @@ class StoragePool {
   /// Frees every block cached globally and in the calling thread's cache
   /// (other threads' caches drain on their exit). Live blocks are untouched.
   void trim();
-
-  /// mfa::sanitize on-demand sweep (no-op when the checker is off): verifies
-  /// the guard zones of every block parked in the calling thread's cache and
-  /// in the global free lists. Catches writes through stale pointers into
-  /// recycled blocks even when no op happens to reacquire them.
-  void verify_cached_guards();
-
-  /// mfa::sanitize leak audit: reports a "leak" violation when the pool's
-  /// current live float count exceeds `baseline_live_floats` (as captured
-  /// from stats().live_floats before the audited scope). `what` names the
-  /// scope in the violation message. No-op when the checker is off.
-  void audit_leaks(std::int64_t baseline_live_floats, const char* what);
 
  private:
   friend class Storage;

@@ -158,11 +158,6 @@ std::int64_t TapeArena::entries() const {
   return total;
 }
 
-void TapeArena::verify_guards() const {
-  for (const Ring& r : rings_)
-    for (const Storage& e : r.entries) e.verify_guards();
-}
-
 // ---------------------------------------------------------------------------
 // Tape — recording
 
@@ -200,8 +195,7 @@ std::int32_t Tape::record(const char* op_name,
 }
 
 Storage Tape::intermediate_storage(std::int64_t n, bool recording) {
-  if (n > 0 && arena_on_ && (recording || arena_scope_depth_ > 0) &&
-      StoragePool::instance().enabled()) {
+  if (n > 0 && arena_on_ && (recording || arena_scope_depth_ > 0)) {
     Storage s;
     if (arena_.try_acquire(n, s)) return s;
   }

@@ -32,9 +32,9 @@
 // mutex, no thread-cache traffic, no stats atomics on the per-op hot path.
 // At step end (backward() retire, or ArenaScope exit on inference paths) the
 // cursors reset and the ring trims to the high-water mark of the last two
-// steps, so a shrinking workload gives memory back. MFA_POOL=off disables
-// the arena entirely: every acquisition is a raw heap allocation again and
-// ASan sees full poisoning, exactly as before.
+// steps, so a shrinking workload gives memory back. An arena entry stays
+// live while parked in the ring, so the pool's ASan poisoning does not see
+// a stale pointer into it (MFA_ARENA=off puts op outputs back under it).
 //
 // Escape hatches and diagnostics:
 //  * MFA_ARENA=off routes op outputs through the pool per-op.
@@ -72,7 +72,7 @@ class TapeArena {
  public:
   /// Zero-fills and hands out a buffer of n floats sharing an arena block.
   /// Returns false (out untouched) when the arena cannot serve the request:
-  /// pool disabled, n outside the bucket range, or the ring at its cap.
+  /// n outside the bucket range, or the ring at its cap.
   bool try_acquire(std::int64_t n, Storage& out);
 
   /// Step boundary: resets the scan cursors and trims each ring to the
@@ -86,11 +86,6 @@ class TapeArena {
   std::int64_t held_floats() const;
   /// Entries currently held across all rings.
   std::int64_t entries() const;
-
-  /// mfa::sanitize sweep over every held entry (no-op when the checker is
-  /// off). Arena blocks never pass through the pool's release/reacquire
-  /// checks while held, so tests sweep them explicitly.
-  void verify_guards() const;
 
   // Buckets mirror StoragePool's power-of-two sizing over the range the
   // model's intermediates actually occupy; larger requests fall through to
@@ -172,7 +167,7 @@ class Tape {
   // ---- arena ----
 
   /// Buffer for an op output: zero-filled, from the arena when it may serve
-  /// (recording, or inside an ArenaScope; pool enabled; arena enabled),
+  /// (recording, or inside an ArenaScope; arena enabled),
   /// otherwise a plain pooled/heap buffer — bit-identical either way.
   Storage intermediate_storage(std::int64_t n, bool recording);
 

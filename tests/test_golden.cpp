@@ -4,8 +4,8 @@
 // congestion prediction -> inflation -> further placement -> legalisation ->
 // routing -> congestion analysis — at a fixed seed, and hashes the final
 // placement coordinates plus the congestion-level map with FNV-1a. The hash
-// must be bit-identical across MFA_THREADS in {1, 4} x MFA_POOL in
-// {on, off}: this turns the thread-count invariance and pool
+// must be bit-identical across MFA_THREADS in {1, 4} x tape arena in
+// {on, off}: this turns the thread-count invariance and arena
 // bitwise-transparency claims into one durable regression gate, with the
 // observability layer live while it runs (spans and counters must never
 // perturb numerics).
@@ -14,7 +14,7 @@
 // see tensor/gemm.h), and the hash is additionally pinned per variant to
 // constants captured on the CI box. If an intentional numeric change (new
 // placer schedule, different feature normalisation, ...) moves one, every
-// thread/pool configuration must still agree; update the matching
+// thread/arena configuration must still agree; update the matching
 // kGoldenHashPerVariant entry to the value printed in the failure message.
 #include <gtest/gtest.h>
 
@@ -34,7 +34,7 @@
 #include "route/router.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
-#include "tensor/storage.h"
+#include "tensor/tape.h"
 #include "train/dataset.h"
 #include "train/trainer.h"
 
@@ -143,7 +143,7 @@ std::uint64_t run_pipeline_hash() {
 // Per-GEMM-variant pinned hashes, captured on the CI box (x86-64, gcc 12, no
 // -ffast-math anywhere in the build). Within a variant the fixed reduction
 // order makes the result independent of optimisation level, thread count,
-// pool mode, and tile parameters; across variants the hash MAY differ (the
+// arena mode, and tile parameters; across variants the hash MAY differ (the
 // SIMD kernels use single-rounded FMA where the scalar ones use mul+add), so
 // each compiled variant pins its own constant. At this seed all three
 // happen to coincide: the hashed quantities (placement coordinates, discrete
@@ -158,12 +158,12 @@ constexpr std::uint64_t kGoldenHashPerVariant[kernels::kNumVariants] = {
 
 struct GoldenConfig {
   int threads;
-  bool pool;
+  bool arena;
 };
 
-// Full cross of MFA_THREADS x MFA_POOL: kernel parallelism and the storage
-// pool (with the tape arena riding on it) must be bitwise invisible in the
-// end-to-end result.
+// Full cross of MFA_THREADS x tape arena: kernel parallelism and where op
+// outputs come from (the calling thread's tape arena, or the storage pool
+// per op) must be bitwise invisible in the end-to-end result.
 constexpr GoldenConfig kConfigs[] = {
     {1, true},
     {4, true},
@@ -171,34 +171,40 @@ constexpr GoldenConfig kConfigs[] = {
     {4, false},
 };
 
-TEST(Golden, EndToEndHashIsBitIdenticalAcrossThreadAndPoolConfigs) {
+/// Runs fn() once per config, pinning the thread-pool size and the calling
+/// thread's arena switch, and restores both afterwards.
+template <typename Fn>
+std::vector<std::uint64_t> hash_per_config(Fn&& fn) {
   auto& thread_pool = common::ThreadPool::instance();
-  auto& storage_pool = tensor::StoragePool::instance();
-  const bool pool_was_enabled = storage_pool.enabled();
+  auto& tape = tensor::Tape::current();
+  const bool arena_was_enabled = tape.arena_enabled();
+  std::vector<std::uint64_t> hashes;
+  for (const auto& cfg : kConfigs) {
+    thread_pool.resize_for_testing(cfg.threads);
+    tape.set_arena_for_testing(cfg.arena);
+    hashes.push_back(fn());
+  }
+  thread_pool.resize_for_testing(1);
+  tape.set_arena_for_testing(arena_was_enabled);
+  return hashes;
+}
 
+TEST(Golden, EndToEndHashIsBitIdenticalAcrossThreadAndArenaConfigs) {
   for (int v = 0; v < kernels::kNumVariants; ++v) {
     if (!kernels::variant_supported(static_cast<kernels::Variant>(v))) {
       continue;
     }
     ASSERT_TRUE(kernels::set_variant_override(v));
-    std::vector<std::uint64_t> hashes;
-    for (const auto& cfg : kConfigs) {
-      thread_pool.resize_for_testing(cfg.threads);
-      storage_pool.set_enabled(cfg.pool);
-      hashes.push_back(run_pipeline_hash());
-    }
-    // Restore the ambient configuration before asserting.
-    thread_pool.resize_for_testing(1);
-    storage_pool.set_enabled(pool_was_enabled);
+    const auto hashes = hash_per_config(run_pipeline_hash);
 
     const char* vname =
         kernels::variant_name(static_cast<kernels::Variant>(v));
     for (size_t i = 1; i < hashes.size(); ++i) {
       EXPECT_EQ(hashes[0], hashes[i])
           << "[" << vname << "] pipeline hash diverged between config 0 "
-          << "(threads=1, pool=on) and config " << i
+          << "(threads=1, arena=on) and config " << i
           << " (threads=" << kConfigs[i].threads
-          << ", pool=" << (kConfigs[i].pool ? "on" : "off") << ")";
+          << ", arena=" << (kConfigs[i].arena ? "on" : "off") << ")";
     }
     EXPECT_EQ(hashes[0], kGoldenHashPerVariant[v])
         << "[" << vname << "] golden pipeline hash changed. If this is an "
@@ -272,10 +278,6 @@ constexpr std::uint64_t kLhnnHashPerVariant[kernels::kNumVariants] = {
 };
 
 TEST(Golden, LhnnTrainPredictHashIsBitIdenticalAcrossConfigs) {
-  auto& thread_pool = common::ThreadPool::instance();
-  auto& storage_pool = tensor::StoragePool::instance();
-  const bool pool_was_enabled = storage_pool.enabled();
-
   // Dataset built once outside the matrix: its placer/feature path is
   // covered by the main gate; this test isolates the model stack.
   const auto device = fpga::DeviceGrid::make_xcvu3p_like(40, 32);
@@ -298,14 +300,8 @@ TEST(Golden, LhnnTrainPredictHashIsBitIdenticalAcrossConfigs) {
       continue;
     }
     ASSERT_TRUE(kernels::set_variant_override(v));
-    std::vector<std::uint64_t> hashes;
-    for (const auto& cfg : kConfigs) {
-      thread_pool.resize_for_testing(cfg.threads);
-      storage_pool.set_enabled(cfg.pool);
-      hashes.push_back(run_lhnn_hash(samples));
-    }
-    thread_pool.resize_for_testing(1);
-    storage_pool.set_enabled(pool_was_enabled);
+    const auto hashes =
+        hash_per_config([&] { return run_lhnn_hash(samples); });
 
     const char* vname =
         kernels::variant_name(static_cast<kernels::Variant>(v));
@@ -313,7 +309,7 @@ TEST(Golden, LhnnTrainPredictHashIsBitIdenticalAcrossConfigs) {
       EXPECT_EQ(hashes[0], hashes[i])
           << "[" << vname << "] LHNN hash diverged between config 0 and "
           << "config " << i << " (threads=" << kConfigs[i].threads
-          << ", pool=" << (kConfigs[i].pool ? "on" : "off") << ")";
+          << ", arena=" << (kConfigs[i].arena ? "on" : "off") << ")";
     }
     EXPECT_EQ(hashes[0], kLhnnHashPerVariant[v])
         << "[" << vname << "] LHNN golden hash changed. If intentional, "

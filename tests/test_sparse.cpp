@@ -3,7 +3,7 @@
 //
 // The contract under test mirrors the dense kernels': every op gradchecks,
 // and every scatter-style reduction is BIT-identical across MFA_THREADS in
-// {1, 4} x MFA_POOL in {on, off}, because the accumulation runs through a
+// {1, 4} x tape arena in {on, off}, because the accumulation runs through a
 // fixed slot partition of the index dimension (never a thread-count-dependent
 // one). Index hardening: out-of-range ids throw check::CheckError in every
 // build type (validated during the decode pass); non-integral ids are a
@@ -22,7 +22,7 @@
 #include "models/lhnn.h"
 #include "tensor/gradcheck.h"
 #include "tensor/ops.h"
-#include "tensor/storage.h"
+#include "tensor/tape.h"
 #include "tensor/tensor.h"
 
 namespace mfa {
@@ -35,7 +35,6 @@ using ops::scatter_add_rows;
 using ops::segment_mean;
 using ops::segment_sum;
 using ops::sum;
-using tensor::StoragePool;
 
 /// Pins the pool-thread count; restores it on exit.
 class ThreadsEnv {
@@ -206,7 +205,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct SparseConfig {
   int threads;
-  bool pool;
+  bool arena;
 };
 
 /// Forward + backward of a composite graph using all four reduction-bearing
@@ -229,10 +228,10 @@ std::vector<float> sparse_pipeline_bits(int seed) {
   return bits;
 }
 
-TEST(SparseDeterminism, BitwiseIdenticalAcrossThreadsAndPool) {
+TEST(SparseDeterminism, BitwiseIdenticalAcrossThreadsAndArena) {
   auto& thread_pool = common::ThreadPool::instance();
-  auto& storage_pool = StoragePool::instance();
-  const bool pool_prev = storage_pool.enabled();
+  auto& tape = tensor::Tape::current();
+  const bool arena_prev = tape.arena_enabled();
   const int threads_prev = thread_pool.size();
 
   const SparseConfig configs[] = {
@@ -242,17 +241,17 @@ TEST(SparseDeterminism, BitwiseIdenticalAcrossThreadsAndPool) {
     std::vector<std::vector<float>> runs;
     for (const auto& cfg : configs) {
       thread_pool.resize_for_testing(cfg.threads);
-      storage_pool.set_enabled(cfg.pool);
+      tape.set_arena_for_testing(cfg.arena);
       runs.push_back(sparse_pipeline_bits(seed));
     }
     thread_pool.resize_for_testing(threads_prev);
-    storage_pool.set_enabled(pool_prev);
+    tape.set_arena_for_testing(arena_prev);
     for (size_t i = 1; i < runs.size(); ++i) {
       ASSERT_EQ(runs[0].size(), runs[i].size());
       EXPECT_EQ(0, std::memcmp(runs[0].data(), runs[i].data(),
                                runs[0].size() * sizeof(float)))
           << "seed " << seed << ": config " << i << " (threads="
-          << configs[i].threads << ", pool=" << (configs[i].pool ? "on" : "off")
+          << configs[i].threads << ", arena=" << (configs[i].arena ? "on" : "off")
           << ") diverged from config 0";
     }
   }

@@ -1,11 +1,11 @@
 // Tests for the pooled tensor storage layer (tensor/storage.h): handle
-// semantics, free-list recycling, bit-identical numerics with the pool on
-// vs off, steady-state high-water bounds, grad release during backward(),
-// and a concurrency stress meant to run under the TSan preset too.
+// semantics, free-list recycling, steady-state high-water bounds, grad
+// release during backward(), a concurrency stress meant to run under the
+// TSan preset too, and (ASan builds only) death tests proving the pool's
+// poisoning stops stale-pointer, slack and header accesses.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "common/parallel.h"
@@ -16,14 +16,6 @@
 
 namespace mfa::tensor {
 namespace {
-
-/// Restores the pool's enabled flag on scope exit (tests toggle it, and the
-/// singleton outlives every test).
-struct PoolEnabledGuard {
-  PoolEnabledGuard() : prev(StoragePool::instance().enabled()) {}
-  ~PoolEnabledGuard() { StoragePool::instance().set_enabled(prev); }
-  bool prev;
-};
 
 TEST(Storage, AssignFillCopyBasics) {
   Storage s;
@@ -76,9 +68,7 @@ TEST(Storage, MoveTransfersOwnership) {
 }
 
 TEST(StoragePool, ReleasedBlockIsReusedNotReallocated) {
-  PoolEnabledGuard guard;
   auto& pool = StoragePool::instance();
-  pool.set_enabled(true);
   pool.trim();
   pool.reset_stats();
   { Storage s = Storage::full(1000, 0.0f); }  // release parks the block
@@ -92,40 +82,8 @@ TEST(StoragePool, ReleasedBlockIsReusedNotReallocated) {
   EXPECT_EQ(st.misses, 1u) << "second acquisition must not hit the heap";
 }
 
-TEST(StoragePool, DisabledBypassesFreeLists) {
-  PoolEnabledGuard guard;
-  auto& pool = StoragePool::instance();
-  pool.set_enabled(false);
-  pool.reset_stats();
-  { Storage s = Storage::full(1000, 0.0f); }
-  { Storage s = Storage::full(1000, 0.0f); }
-  const auto st = pool.stats();
-  EXPECT_EQ(st.hits, 0u);
-  EXPECT_EQ(st.misses, 2u) << "every acquisition must be a heap allocation";
-  EXPECT_EQ(st.heap_frees, 2u) << "every release must free immediately";
-  EXPECT_EQ(st.releases, 0u);
-}
-
-TEST(StoragePool, ToggleWithOutstandingBuffersIsSafe) {
-  PoolEnabledGuard guard;
-  auto& pool = StoragePool::instance();
-  pool.set_enabled(true);
-  Storage pooled = Storage::full(64, 1.0f);  // bucket-tagged block
-  pool.set_enabled(false);
-  Storage heap = Storage::full(64, 2.0f);  // exact heap block (bucket -1)
-  pool.set_enabled(true);
-  // Both release under the opposite flag than they were acquired with; the
-  // origin tag on the block keeps the accounting straight (no crash, no
-  // double free — ASan would catch either).
-  heap.reset();
-  pool.set_enabled(false);
-  pooled.reset();
-}
-
 TEST(StoragePool, ZeroSizeAssignHoldsNoBlock) {
-  PoolEnabledGuard guard;
   auto& pool = StoragePool::instance();
-  pool.set_enabled(true);
   pool.reset_stats();
   Storage s;
   s.assign(0, 0.0f);
@@ -133,8 +91,6 @@ TEST(StoragePool, ZeroSizeAssignHoldsNoBlock) {
   EXPECT_EQ(s.data(), nullptr);
   EXPECT_EQ(pool.stats().misses, 0u);
 }
-
-// ---- numerics: pool on vs off must be bit-identical ----
 
 namespace {
 
@@ -162,47 +118,10 @@ std::vector<train::Sample> tiny_samples(int n, std::uint64_t seed) {
   return samples;
 }
 
-/// Trains a fresh tiny model for two epochs and returns (final loss, all
-/// parameter bytes) for bitwise comparison.
-std::pair<double, std::vector<float>> train_fingerprint() {
-  auto model = models::make_model("unet", tiny_config());
-  train::TrainOptions options;
-  options.epochs = 2;
-  options.batch_size = 2;
-  options.learning_rate = 5e-3f;
-  options.seed = 5;
-  const auto report =
-      train::Trainer::fit_resumable(*model, tiny_samples(4, 3), options);
-  std::vector<float> params;
-  for (const auto& p : model->network().parameters()) {
-    const auto v = p.to_vector();
-    params.insert(params.end(), v.begin(), v.end());
-  }
-  return {report.final_loss, std::move(params)};
-}
-
 }  // namespace
 
-TEST(StoragePool, TrainStepBitIdenticalPoolOnVsOff) {
-  PoolEnabledGuard guard;
-  auto& pool = StoragePool::instance();
-  pool.set_enabled(true);
-  const auto with_pool = train_fingerprint();
-  pool.set_enabled(false);
-  const auto without_pool = train_fingerprint();
-  // Bit-identical: recycling buffers must not perturb a single ulp.
-  EXPECT_EQ(with_pool.first, without_pool.first);
-  ASSERT_EQ(with_pool.second.size(), without_pool.second.size());
-  EXPECT_EQ(std::memcmp(with_pool.second.data(), without_pool.second.data(),
-                        with_pool.second.size() * sizeof(float)),
-            0)
-      << "parameters diverged between pool on and off";
-}
-
 TEST(StoragePool, HighWaterStableAcrossEpochsNoLeak) {
-  PoolEnabledGuard guard;
   auto& pool = StoragePool::instance();
-  pool.set_enabled(true);
   auto model = models::make_model("unet", tiny_config());
   const auto samples = tiny_samples(4, 3);
   train::TrainOptions options;
@@ -258,9 +177,7 @@ TEST(StoragePool, ConcurrentParallelForAllocationStress) {
   // acquiring/releasing concurrently exercise the thread-cache front-end and
   // the global free-list under contention (blocks may be freed on another
   // thread than they were acquired on via the handoff vector below).
-  PoolEnabledGuard guard;
   auto& pool = StoragePool::instance();
-  pool.set_enabled(true);
   constexpr std::int64_t kTasks = 256;
   std::vector<Storage> handoff(static_cast<size_t>(kTasks));
   parallel_for(
@@ -283,6 +200,62 @@ TEST(StoragePool, ConcurrentParallelForAllocationStress) {
   const auto st = pool.stats();
   EXPECT_GE(st.live_floats, 0);
   EXPECT_GE(st.cached_floats, 0);
+}
+
+// ---- ASan sees the pool ---------------------------------------------------
+//
+// Under -fsanitize=address the pool poisons a parked block's payload, the
+// bucket slack past size() and the unused tail of the block header, so each
+// access below must die with ASan's use-after-poison report at the faulting
+// instruction. Skipped in builds without ASan, where the accesses would be
+// silent.
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsan = true;
+#else
+constexpr bool kAsan = false;
+#endif
+
+class StoragePoolAsan : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!kAsan) GTEST_SKIP() << "needs an ASan build (-DMFA_SANITIZE=address)";
+    // The thread pool's workers are live: fork-only death tests are unsafe.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  }
+};
+
+// volatile: the access must happen even though its result is unused.
+void poke(float* p) { *static_cast<volatile float*>(p) = 1.0f; }
+float peek(const float* p) { return *static_cast<const volatile float*>(p); }
+
+TEST_F(StoragePoolAsan, WriteThroughStalePointerAfterResetDies) {
+  EXPECT_DEATH(
+      {
+        Storage s = Storage::full(256, 0.0f);
+        float* stale = s.data();
+        s.reset();  // the block parks on a free list; its memory stays mapped
+        poke(stale);
+      },
+      "use-after-poison");
+}
+
+TEST_F(StoragePoolAsan, ReadPastSizeIntoBucketSlackDies) {
+  EXPECT_DEATH(
+      {
+        Storage s = Storage::full(700, 0.0f);  // a 1024-float bucket block
+        (void)peek(s.data() + 700);
+      },
+      "use-after-poison");
+}
+
+TEST_F(StoragePoolAsan, UnderrunIntoBlockHeaderDies) {
+  EXPECT_DEATH(
+      {
+        Storage s = Storage::full(64, 0.0f);
+        poke(s.data() - 1);
+      },
+      "use-after-poison");
 }
 
 }  // namespace

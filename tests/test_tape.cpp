@@ -35,7 +35,6 @@ using ops::add;
 using ops::mul;
 using ops::relu;
 using ops::sum;
-using tensor::StoragePool;
 using tensor::Tape;
 using tensor::TapeArena;
 
@@ -219,8 +218,6 @@ TEST(TapeArenaTest, BucketIndexCoversExactlyTheRingRange) {
 }
 
 TEST(TapeArenaTest, SteadyStateReusesEntriesAndTrimsAfterShrink) {
-  if (!StoragePool::instance().enabled())
-    GTEST_SKIP() << "pool disabled (MFA_POOL=off): arena is bypassed";
   const TapeEnv env(1);
   auto& arena = Tape::current().arena();
   arena.clear();
@@ -255,8 +252,6 @@ TEST(TapeArenaTest, SteadyStateReusesEntriesAndTrimsAfterShrink) {
 }
 
 TEST(TapeArenaTest, EscapedIntermediatePinsItsBufferAcrossRetire) {
-  if (!StoragePool::instance().enabled())
-    GTEST_SKIP() << "pool disabled (MFA_POOL=off): arena is bypassed";
   const TapeEnv env(1);
   Tensor a = make_input({512}, 30, 0.5f);
   Tensor y = mul(a, a);  // intermediate drawn from the arena
@@ -305,9 +300,7 @@ TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossThreadCounts) {
   // into a fixed chunk count and the walk runs one canonical order, so the
   // report (op name, tape node, chunk ids) is byte-identical for any pool
   // width — never a worker schedule accident.
-  const bool pool_prev = StoragePool::instance().enabled();
   const bool san_prev = sanitize::enabled();
-  StoragePool::instance().set_enabled(true);
   sanitize::set_enabled(true);
   sanitize::set_throw_on_violation(true);
   sanitize::reset_counts();
@@ -346,7 +339,6 @@ TEST(TapeSanitize, RaceReportIsByteIdenticalAcrossThreadCounts) {
       << reports[0];
   sanitize::reset_counts();
   sanitize::set_enabled(san_prev);
-  StoragePool::instance().set_enabled(pool_prev);
 }
 
 // ---- retire semantics ---------------------------------------------------

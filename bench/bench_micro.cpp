@@ -291,6 +291,28 @@ void BM_MfaBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_MfaBlock);
 
+/// One MfaBlock train step (forward + backward) at the shape of the
+/// model's first MFA stage, mfa1: 8 channels at 32x32 (L = 1024), batch 4.
+/// The attention gains start non-zero so both score paths carry gradient.
+void BM_MfaBlockTrainStep(benchmark::State& state) {
+  Rng rng(4);
+  models::MfaBlock block(8, rng);
+  const auto names = block.parameter_names();
+  auto params = block.parameters();
+  for (size_t i = 0; i < names.size(); ++i)
+    if (names[i] == "alpha" || names[i] == "beta") params[i].fill_(0.5f);
+  Tensor x = Tensor::randn({4, 8, 32, 32}, rng);
+  const auto step = [&] {
+    for (auto& p : params) p.zero_grad();
+    Tensor y = block.forward(x);
+    ops::sum(ops::mul(y, y)).backward();
+    benchmark::DoNotOptimize(params.front().grad().data());
+  };
+  step();  // warm-up: arena rings and free lists exist before the timed loop
+  for (auto _ : state) step();
+}
+BENCHMARK(BM_MfaBlockTrainStep);
+
 void BM_TransformerLayer(benchmark::State& state) {
   Rng rng(5);
   nn::TransformerEncoderLayer layer(64, 4, 256, rng);

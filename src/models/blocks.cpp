@@ -81,15 +81,15 @@ Tensor MfaBlock::forward(const Tensor& x) {
   Tensor c = reshape(pam_c_->forward(tp), {N, reduced_, L});
   Tensor d = reshape(pam_d_->forward(tp), {N, reduced_, L});
   // P_ji = softmax_i(B_i^T . C_j): scores [N, L, L] with rows softmaxed.
-  Tensor scores = matmul(transpose2d(b), c);        // [N, L, L]
+  Tensor scores = matmul_tn(b, c);                  // [N, L, L]
   Tensor p = softmax(scores, 2);
-  Tensor pam_attn = matmul(d, transpose2d(p));      // [N, r, L]
+  Tensor pam_attn = matmul_nt(d, p);                // [N, r, L]
   Tensor pam = add(mul(pam_attn, alpha_), reshape(tp, {N, reduced_, L}));
 
   // ---- channel attention branch (Eqs. 6-7) ----
   Tensor tc = relu(bn_cam_->forward(reduce_cam_->forward(x)));
   Tensor m = reshape(tc, {N, reduced_, L});
-  Tensor chan_scores = matmul(m, transpose2d(m));   // [N, r, r]
+  Tensor chan_scores = matmul_nt(m, m);             // [N, r, r]
   Tensor cx = softmax(chan_scores, 2);
   Tensor cam_attn = matmul(cx, m);                  // [N, r, L]
   Tensor cam = add(mul(cam_attn, beta_), m);

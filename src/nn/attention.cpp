@@ -38,7 +38,7 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
   Tensor k = split_heads(1);
   Tensor v = split_heads(2);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  Tensor scores = matmul(q, transpose2d(k)) * scale;  // [N*H, L, L]
+  Tensor scores = matmul_nt(q, k) * scale;             // [N*H, L, L]
   Tensor attn = softmax(scores, 2);
   Tensor out = matmul(attn, v);                        // [N*H, L, Dh]
   out = reshape(out, {N, heads_, L, head_dim_});

@@ -43,6 +43,19 @@ Tensor clamp_min(const Tensor& a, float lo);
 /// [m,k] x [k,n] -> [m,n], or batched [b,m,k] x [b,k,n] -> [b,m,n].
 /// A 2-D rhs with a 3-D lhs broadcasts over the batch.
 Tensor matmul(const Tensor& a, const Tensor& b);
+/// op(a)·op(b), where op(x) is x, or x with its last two dims swapped when
+/// the flag is set — read in place by the matching GEMM kernel, never
+/// copied. Ranks and batch broadcast as in matmul. Both flags set (TT) has
+/// no kernel and throws CheckError, as do rank and shape mismatches.
+/// Forward and the two gradients pick the kernel per layout (see DESIGN.md
+/// "Attention layout").
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b);
+/// a·bᵀ: [m,k] x [n,k] -> [m,n], or batched [b,m,k] x [b,n,k] -> [b,m,n].
+/// Equals matmul(a, transpose2d(b)) without materialising the transpose.
+Tensor matmul_nt(const Tensor& a, const Tensor& b);
+/// aᵀ·b: [k,m] x [k,n] -> [m,n], or batched [b,k,m] x [b,k,n] -> [b,m,n].
+/// Equals matmul(transpose2d(a), b) without materialising the transpose.
+Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 // ---- shape ----
 Tensor reshape(const Tensor& a, Shape new_shape);

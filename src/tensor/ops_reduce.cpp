@@ -2,8 +2,11 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/check.h"
+#include "common/parallel.h"
+#include "common/sanitize.h"
 #include "tensor/ops.h"
 
 namespace mfa::ops {
@@ -149,6 +152,53 @@ std::vector<std::int64_t> argmax_dim(const Tensor& a, std::int64_t dim) {
   return out;
 }
 
+// ---- softmax family ------------------------------------------------------
+//
+// A row is the d entries along the normalised dim, at stride `inner`. Rows
+// run in parallel, one outer slice (d * inner floats: `inner` interleaved
+// rows, or one contiguous row when inner == 1) per work unit, so a chunk
+// writes one contiguous range. Each row keeps a fixed j-ascending reduction
+// order, so results are bit-identical for any MFA_THREADS.
+namespace {
+
+// Floats per parallel chunk: enough exp/log work to amortise a pool hand-off.
+constexpr std::int64_t kSoftmaxChunkFloats = std::int64_t{1} << 14;
+
+using Contiguous = std::integral_constant<std::int64_t, 1>;
+
+/// Calls row(base, stride) for every row of `sp`; element j of the row sits
+/// at base + j * stride. `written` is the buffer the rows write (declared to
+/// the race checker per chunk). inner == 1 passes a compile-time unit stride.
+template <typename Row>
+void for_each_row(const Split& sp, const float* written, Row&& row) {
+  const std::int64_t slice = sp.d * sp.inner;
+  const std::int64_t grain = std::max<std::int64_t>(
+      1, kSoftmaxChunkFloats / std::max<std::int64_t>(1, slice));
+  parallel_for(
+      sp.outer,
+      [&](std::int64_t r0, std::int64_t r1) {
+        sanitize::note_parallel_write(written, r0 * slice, r1 * slice);
+        for (std::int64_t r = r0; r < r1; ++r) {
+          if (sp.inner == 1) {
+            row(r * slice, Contiguous{});
+          } else {
+            for (std::int64_t k = 0; k < sp.inner; ++k)
+              row(r * slice + k, sp.inner);
+          }
+        }
+      },
+      grain);
+}
+
+template <typename Stride>
+float row_max(const float* v, std::int64_t base, Stride st, std::int64_t d) {
+  float mx = -std::numeric_limits<float>::infinity();
+  for (std::int64_t j = 0; j < d; ++j) mx = std::max(mx, v[base + j * st]);
+  return mx;
+}
+
+}  // namespace
+
 Tensor softmax(const Tensor& a, std::int64_t dim) {
   const Split sp = split_at(a, dim);
   // Fused kernel: softmax backward is y * (g - sum(g*y)).
@@ -160,36 +210,33 @@ Tensor softmax(const Tensor& a, std::int64_t dim) {
         const float* y = o.data.data();
         const float* go = o.grad.data();
         float* ga = ai->grad.data();
-        for (std::int64_t r = 0; r < sp.outer; ++r)
-          for (std::int64_t k = 0; k < sp.inner; ++k) {
-            double dot = 0.0;
-            for (std::int64_t j = 0; j < sp.d; ++j) {
-              const auto ix = (r * sp.d + j) * sp.inner + k;
-              dot += static_cast<double>(go[ix]) * y[ix];
-            }
-            for (std::int64_t j = 0; j < sp.d; ++j) {
-              const auto ix = (r * sp.d + j) * sp.inner + k;
-              ga[ix] += y[ix] * (go[ix] - static_cast<float>(dot));
-            }
+        const std::int64_t d = sp.d;
+        for_each_row(sp, ga, [&](std::int64_t base, auto st) {
+          double dot = 0.0;
+          for (std::int64_t j = 0; j < d; ++j) {
+            const auto ix = base + j * st;
+            dot += static_cast<double>(go[ix]) * y[ix];
           }
+          for (std::int64_t j = 0; j < d; ++j) {
+            const auto ix = base + j * st;
+            ga[ix] += y[ix] * (go[ix] - static_cast<float>(dot));
+          }
+        });
       });
   const float* av = a.data();
   float* ov = out.data();
-  for (std::int64_t r = 0; r < sp.outer; ++r)
-    for (std::int64_t k = 0; k < sp.inner; ++k) {
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::int64_t j = 0; j < sp.d; ++j)
-        mx = std::max(mx, av[(r * sp.d + j) * sp.inner + k]);
-      double z = 0.0;
-      for (std::int64_t j = 0; j < sp.d; ++j) {
-        const auto ix = (r * sp.d + j) * sp.inner + k;
-        ov[ix] = std::exp(av[ix] - mx);
-        z += ov[ix];
-      }
-      const float inv = static_cast<float>(1.0 / z);
-      for (std::int64_t j = 0; j < sp.d; ++j)
-        ov[(r * sp.d + j) * sp.inner + k] *= inv;
+  const std::int64_t d = sp.d;
+  for_each_row(sp, ov, [&](std::int64_t base, auto st) {
+    const float mx = row_max(av, base, st, d);
+    double z = 0.0;
+    for (std::int64_t j = 0; j < d; ++j) {
+      const auto ix = base + j * st;
+      ov[ix] = std::exp(av[ix] - mx);
+      z += ov[ix];
     }
+    const float inv = static_cast<float>(1.0 / z);
+    for (std::int64_t j = 0; j < d; ++j) ov[base + j * st] *= inv;
+  });
   return out;
 }
 
@@ -204,33 +251,29 @@ Tensor log_softmax(const Tensor& a, std::int64_t dim) {
         const float* y = o.data.data();
         const float* go = o.grad.data();
         float* ga = ai->grad.data();
-        for (std::int64_t r = 0; r < sp.outer; ++r)
-          for (std::int64_t k = 0; k < sp.inner; ++k) {
-            double gs = 0.0;
-            for (std::int64_t j = 0; j < sp.d; ++j)
-              gs += go[(r * sp.d + j) * sp.inner + k];
-            for (std::int64_t j = 0; j < sp.d; ++j) {
-              const auto ix = (r * sp.d + j) * sp.inner + k;
-              ga[ix] += go[ix] - std::exp(y[ix]) * static_cast<float>(gs);
-            }
+        const std::int64_t d = sp.d;
+        for_each_row(sp, ga, [&](std::int64_t base, auto st) {
+          double gs = 0.0;
+          for (std::int64_t j = 0; j < d; ++j) gs += go[base + j * st];
+          for (std::int64_t j = 0; j < d; ++j) {
+            const auto ix = base + j * st;
+            ga[ix] += go[ix] - std::exp(y[ix]) * static_cast<float>(gs);
           }
+        });
       });
   const float* av = a.data();
   float* ov = out.data();
-  for (std::int64_t r = 0; r < sp.outer; ++r)
-    for (std::int64_t k = 0; k < sp.inner; ++k) {
-      float mx = -std::numeric_limits<float>::infinity();
-      for (std::int64_t j = 0; j < sp.d; ++j)
-        mx = std::max(mx, av[(r * sp.d + j) * sp.inner + k]);
-      double z = 0.0;
-      for (std::int64_t j = 0; j < sp.d; ++j)
-        z += std::exp(av[(r * sp.d + j) * sp.inner + k] - mx);
-      const float lz = mx + static_cast<float>(std::log(z));
-      for (std::int64_t j = 0; j < sp.d; ++j) {
-        const auto ix = (r * sp.d + j) * sp.inner + k;
-        ov[ix] = av[ix] - lz;
-      }
+  const std::int64_t d = sp.d;
+  for_each_row(sp, ov, [&](std::int64_t base, auto st) {
+    const float mx = row_max(av, base, st, d);
+    double z = 0.0;
+    for (std::int64_t j = 0; j < d; ++j) z += std::exp(av[base + j * st] - mx);
+    const float lz = mx + static_cast<float>(std::log(z));
+    for (std::int64_t j = 0; j < d; ++j) {
+      const auto ix = base + j * st;
+      ov[ix] = av[ix] - lz;
     }
+  });
   return out;
 }
 

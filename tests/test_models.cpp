@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "models/blocks.h"
 #include "models/congestion_model.h"
 #include "models/mfa_net.h"
@@ -62,6 +65,42 @@ TEST(Blocks, MfaBlockGainsReceiveGradient) {
     }
   }
   EXPECT_TRUE(saw_alpha);
+}
+
+/// Parameters of an MfaBlock after one SGD train step at the given pool size,
+/// flattened. mfa1's shape: 8 channels at 32x32 (L = 1024), batch 2; the
+/// attention gains are set non-zero so the score paths carry gradient.
+std::vector<float> mfa_block_step_params(int threads) {
+  const int prev = common::ThreadPool::instance().size();
+  common::ThreadPool::instance().resize_for_testing(threads);
+  Rng rng(9);
+  MfaBlock block(8, rng);
+  const auto names = block.parameter_names();
+  auto params = block.parameters();
+  for (size_t i = 0; i < names.size(); ++i)
+    if (names[i] == "alpha" || names[i] == "beta") params[i].fill_(0.5f);
+  Tensor x = Tensor::randn({2, 8, 32, 32}, rng);
+  nn::Sgd opt(params, 0.05f);
+  opt.zero_grad();
+  Tensor y = block.forward(x);
+  sum(mul(y, y)).backward();
+  opt.step();
+  std::vector<float> flat;
+  for (const auto& p : params) {
+    const auto v = p.to_vector();
+    flat.insert(flat.end(), v.begin(), v.end());
+  }
+  common::ThreadPool::instance().resize_for_testing(prev);
+  return flat;
+}
+
+TEST(Blocks, MfaBlockTrainStepBitwiseIdenticalAcrossThreadCounts) {
+  const auto t1 = mfa_block_step_params(1);
+  const auto t4 = mfa_block_step_params(4);
+  ASSERT_EQ(t1.size(), t4.size());
+  for (size_t i = 0; i < t1.size(); ++i)
+    ASSERT_EQ(std::memcmp(&t1[i], &t4[i], sizeof(float)), 0)
+        << "parameter element " << i << " differs between 1 and 4 threads";
 }
 
 TEST(Blocks, PatchTransformerRoundTripsShape) {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
+#include <cstring>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace mfa {
@@ -123,6 +127,86 @@ TEST(TensorOps, MatmulShapeMismatchThrows) {
                std::invalid_argument);
 }
 
+// ---- transposed-operand matmul forms ------------------------------------
+//
+// matmul_nt / matmul_tn read the transposed operand in place; the
+// materialised transpose2d + matmul composition is the reference.
+
+/// Largest |x - y| relative to max(1, |y|) over two same-size buffers.
+float max_rel_diff(const std::vector<float>& x, const std::vector<float>& y) {
+  EXPECT_EQ(x.size(), y.size());
+  float worst = 0.0f;
+  for (size_t i = 0; i < x.size() && i < y.size(); ++i)
+    worst = std::max(worst, std::fabs(x[i] - y[i]) /
+                                std::max(1.0f, std::fabs(y[i])));
+  return worst;
+}
+
+void expect_forward_matches(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_LT(max_rel_diff(got.to_vector(), want.to_vector()), 1e-5f);
+}
+
+TEST(TensorOps, MatmulNtMatchesTransposeReference) {
+  Rng rng(41);
+  const std::vector<std::pair<Shape, Shape>> cases = {
+      {{5, 7}, {6, 7}},        // 2-D
+      {{3, 5, 7}, {3, 6, 7}},  // batched
+      {{3, 5, 7}, {6, 7}},     // 2-D rhs broadcast over the batch
+      {{2, 40, 33}, {2, 37, 33}},
+  };
+  for (const auto& [as, bs] : cases) {
+    Tensor a = Tensor::randn(as, rng);
+    Tensor b = Tensor::randn(bs, rng);
+    expect_forward_matches(matmul_nt(a, b), matmul(a, transpose2d(b)));
+    expect_forward_matches(matmul(a, b, false, true),
+                           matmul(a, transpose2d(b)));
+  }
+}
+
+TEST(TensorOps, MatmulTnMatchesTransposeReference) {
+  Rng rng(42);
+  const std::vector<std::pair<Shape, Shape>> cases = {
+      {{7, 5}, {7, 6}},
+      {{3, 7, 5}, {3, 7, 6}},
+      {{3, 7, 5}, {7, 6}},
+      {{2, 33, 40}, {2, 33, 37}},
+  };
+  for (const auto& [as, bs] : cases) {
+    Tensor a = Tensor::randn(as, rng);
+    Tensor b = Tensor::randn(bs, rng);
+    expect_forward_matches(matmul_tn(a, b), matmul(transpose2d(a), b));
+    expect_forward_matches(matmul(a, b, true, false),
+                           matmul(transpose2d(a), b));
+  }
+}
+
+TEST(TensorOps, MatmulNtTnValues) {
+  // [[1,2,3],[4,5,6]] . [[1,0,1],[2,1,0]]^T
+  Tensor a = Tensor::from_data({2, 3}, {1, 2, 3, 4, 5, 6});
+  Tensor b = Tensor::from_data({2, 3}, {1, 0, 1, 2, 1, 0});
+  EXPECT_EQ(matmul_nt(a, b).to_vector(), (std::vector<float>{4, 4, 10, 13}));
+  EXPECT_EQ(matmul_tn(a, a).to_vector(),
+            (std::vector<float>{17, 22, 27, 22, 29, 36, 27, 36, 45}));
+}
+
+TEST(TensorOps, MatmulLayoutMisuseThrowsCheckError) {
+  const Tensor m23 = Tensor::zeros({2, 3});
+  const Tensor m24 = Tensor::zeros({2, 4});
+  const Tensor b233 = Tensor::zeros({2, 3, 3});
+  // Both operands transposed has no kernel.
+  EXPECT_THROW(matmul(m23, m23, true, true), mfa::check::CheckError);
+  // Shape: the contracted dims disagree.
+  EXPECT_THROW(matmul_nt(m23, m24), mfa::check::CheckError);       // 3 vs 4
+  EXPECT_THROW(matmul_tn(m23, Tensor::zeros({3, 2})), mfa::check::CheckError);  // 2 vs 3
+  EXPECT_THROW(matmul_nt(b233, Tensor::zeros({3, 3, 3})), mfa::check::CheckError);  // batch
+  // Rank: 1-D, 4-D, or a 3-D rhs under a 2-D lhs.
+  EXPECT_THROW(matmul_nt(Tensor::zeros({3}), m23), mfa::check::CheckError);
+  EXPECT_THROW(matmul_tn(Tensor::zeros({1, 2, 3, 3}), m23), mfa::check::CheckError);
+  EXPECT_THROW(matmul_nt(Tensor::zeros({3, 3}), b233), mfa::check::CheckError);
+  EXPECT_THROW(matmul_tn(Tensor::zeros({3, 3}), b233), mfa::check::CheckError);
+}
+
 TEST(TensorOps, ReshapeWithInference) {
   Tensor a = Tensor::from_data({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b = reshape(a, {3, -1});
@@ -202,6 +286,71 @@ TEST(TensorOps, LogSoftmaxMatchesLogOfSoftmax) {
   Tensor s = softmax(a, 1);
   for (std::int64_t i = 0; i < a.numel(); ++i)
     EXPECT_NEAR(ls.data()[i], std::log(s.data()[i]), 1e-5f);
+}
+
+// ---- softmax family: row-parallel, bit-identical for any pool size -------
+
+/// Pins the pool size for a scope and restores it on exit.
+class PoolThreads {
+ public:
+  explicit PoolThreads(int threads)
+      : prev_(common::ThreadPool::instance().size()) {
+    common::ThreadPool::instance().resize_for_testing(threads);
+  }
+  ~PoolThreads() { common::ThreadPool::instance().resize_for_testing(prev_); }
+
+ private:
+  int prev_;
+};
+
+/// Output and input gradient of sum(w * f(a, dim)), flattened, at the given
+/// pool size.
+std::vector<float> softmax_out_and_grad(Tensor (*f)(const Tensor&,
+                                                    std::int64_t),
+                                        const Shape& shape, std::int64_t dim,
+                                        int threads) {
+  const PoolThreads pool(threads);
+  Rng rng(77);
+  Tensor a = Tensor::randn(shape, rng, 3.0f, /*requires_grad=*/true);
+  Tensor w = Tensor::randn(shape, rng);
+  Tensor y = f(a, dim);
+  sum(mul(y, w)).backward();
+  std::vector<float> flat = y.to_vector();
+  const auto g = a.grad().to_vector();
+  flat.insert(flat.end(), g.begin(), g.end());
+  return flat;
+}
+
+TEST(TensorOps, SoftmaxFamilyBitwiseIdenticalAcrossThreadCounts) {
+  // Both shapes hold several parallel chunks, so the 4-thread run really
+  // splits the rows: [256, 1024] along dim 1 is contiguous rows (inner 1);
+  // [64, 48, 40] along dim 1 is rows at stride 40 (inner > 1).
+  const std::vector<std::pair<Shape, std::int64_t>> cases = {
+      {{256, 1024}, 1}, {{64, 48, 40}, 1}};
+  for (auto* f : {&softmax, &log_softmax}) {
+    for (const auto& [shape, dim] : cases) {
+      const auto t1 = softmax_out_and_grad(f, shape, dim, 1);
+      const auto t4 = softmax_out_and_grad(f, shape, dim, 4);
+      ASSERT_EQ(t1.size(), t4.size());
+      EXPECT_EQ(std::memcmp(t1.data(), t4.data(), t1.size() * sizeof(float)),
+                0)
+          << (f == &softmax ? "softmax" : "log_softmax") << " on "
+          << shape_str(shape) << " differs between 1 and 4 pool threads";
+    }
+  }
+}
+
+TEST(TensorOps, SoftmaxStridedRowsSumToOne) {
+  // Normalise along a middle dim (inner > 1) at a size that goes parallel.
+  Rng rng(6);
+  Tensor a = Tensor::randn({32, 24, 50}, rng, 3.0f);
+  Tensor s = softmax(a, 1);
+  for (std::int64_t r = 0; r < 32; ++r)
+    for (std::int64_t k = 0; k < 50; ++k) {
+      double acc = 0.0;
+      for (std::int64_t j = 0; j < 24; ++j) acc += s.at({r, j, k});
+      EXPECT_NEAR(acc, 1.0, 1e-5);
+    }
 }
 
 TEST(TensorOps, Conv2dIdentityKernel) {

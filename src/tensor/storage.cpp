@@ -27,6 +27,7 @@ struct alignas(64) Block {
   std::int32_t bucket;     // free-list index, or -1 for exact heap blocks
   std::int64_t capacity;   // floats in the payload
   Block* next;             // free-list link while cached
+  std::atomic<bool> ring_owned;  // Storage::set_ring_owned
 };
 static_assert(sizeof(Block) == 64, "payload must stay 64-byte aligned");
 
@@ -71,7 +72,8 @@ void unpoison_prefix(Block* b, std::int64_t n) {
 }
 
 // Header bytes in use; the rest of the header line stays poisoned.
-constexpr std::size_t kHeaderUsed = offsetof(Block, next) + sizeof(Block*);
+constexpr std::size_t kHeaderUsed =
+    offsetof(Block, ring_owned) + sizeof(std::atomic<bool>);
 
 /// Fresh block with its whole payload poisoned; acquire() unpoisons the
 /// requested prefix.
@@ -84,6 +86,7 @@ Block* heap_block(std::int64_t capacity, int bucket) {
   b->bucket = bucket;
   b->capacity = capacity;
   b->next = nullptr;
+  b->ring_owned.store(false, std::memory_order_relaxed);
   ASAN_POISON_MEMORY_REGION(reinterpret_cast<char*>(b) + kHeaderUsed,
                             sizeof(Block) - kHeaderUsed);
   poison_payload(b);
@@ -270,6 +273,7 @@ Block* StoragePool::acquire(std::int64_t n) {
     impl_->hits.fetch_add(1, std::memory_order_relaxed);
     blk->refs.store(1, std::memory_order_relaxed);
     blk->next = nullptr;
+    blk->ring_owned.store(false, std::memory_order_relaxed);
   } else {
     const std::int64_t capacity =
         bucket >= 0 ? (std::int64_t{1} << bucket) : n;
@@ -307,6 +311,13 @@ void StoragePool::recycle(Block* block) {
 }
 
 void StoragePool::release(Block* block) {
+  // Two handles left, one of them a ring's: this drop leaves the ring as
+  // sole owner. Poison before the decrement, so the ring cannot hand the
+  // block out again first. Reading refs before the mark (acquire) pairs
+  // with the ring lifting its mark before its own drop.
+  if (block->refs.load(std::memory_order_acquire) == 2 &&
+      block->ring_owned.load(std::memory_order_relaxed))
+    poison_payload(block);
   if (block->refs.fetch_sub(1, std::memory_order_release) != 1) return;
   std::atomic_thread_fence(std::memory_order_acquire);
   recycle(block);
@@ -358,7 +369,7 @@ void Storage::reset() {
 }
 
 bool Storage::shared() const {
-  return block_ && block_->refs.load(std::memory_order_relaxed) > 1;
+  return block_ && block_->refs.load(std::memory_order_acquire) > 1;
 }
 
 Storage Storage::share_prefix(std::int64_t n) const {
@@ -368,6 +379,10 @@ Storage Storage::share_prefix(std::int64_t n) const {
   Storage s(*this);  // shares the block, bumps the refcount
   s.size_ = n;
   return s;
+}
+
+void Storage::set_ring_owned(bool on) {
+  if (block_) block_->ring_owned.store(on, std::memory_order_relaxed);
 }
 
 void Storage::acquire_new(std::int64_t n) {

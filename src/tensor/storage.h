@@ -28,7 +28,9 @@
 //    the requested size, and the unused tail of the block header. A write
 //    through a stale float* into a recycled block, an overrun into the
 //    slack, or a small underrun faults as use-after-poison at the faulting
-//    instruction. Without ASan the poisoning compiles to nothing.
+//    instruction. A block a tape-arena ring holds (set_ring_owned) is
+//    poisoned by the drop that leaves the ring's handle as its only one.
+//    Without ASan the poisoning compiles to nothing.
 #pragma once
 
 #include <cstddef>
@@ -100,6 +102,13 @@ class Storage {
   /// bucket-capacity blocks through prefix handles so one parked entry serves
   /// any op whose output fits the bucket.
   Storage share_prefix(std::int64_t n) const;
+
+  /// Marks this handle as a tape-arena ring's hold on its block (on), or
+  /// lifts the mark before the ring lets go while other handles remain
+  /// (off). While marked, the drop that leaves this handle as the block's
+  /// only one ASan-poisons the whole payload, so a stale pointer into a
+  /// dropped op output faults; the ring unpoisons what it hands out again.
+  void set_ring_owned(bool on);
 
  private:
   /// Replaces the current block with a fresh (uninitialised) one of n floats.
